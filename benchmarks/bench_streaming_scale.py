@@ -1,9 +1,9 @@
 """Streaming-scale soak: a million-job sustained cell at O(live) memory.
 
-The PR-7 streaming subsystem (lazy arrival sources feeding the engine
+The streaming subsystem (lazy arrival sources feeding the engine
 through a bounded look-ahead window, plus job retirement at terminal
 transitions — see ``repro/workloads/streaming.py`` and
-``repro/sim/modes.py``) makes three claims this bench measures, writing
+``GPUSystem(retire=True)``) makes three claims this bench measures, writing
 ``BENCH_streaming_scale.json`` at the repository root:
 
 * **prefix identity** — the lazy stream truncated at N jobs is
@@ -15,7 +15,7 @@ transitions — see ``repro/workloads/streaming.py`` and
   1.2x of a 100k-job reference), while the same cell with retirement
   off demonstrably grows;
 * **the knee** — sweeping arrival rate over ``x0.5 .. x2.5`` of the
-  SUSTAINED high rate on the harness runner charts SLO attainment
+  SUSTAINED high rate with streamed, retired runs charts SLO attainment
   against offered load; attainment must degrade past the knee, which
   the cell is calibrated to place inside the sweep.
 
@@ -48,7 +48,6 @@ from repro.config import SimConfig
 from repro.harness.formatting import format_table
 from repro.schedulers.registry import make_scheduler
 from repro.sim.device import GPUSystem
-from repro.sim.modes import retirement_mode
 from repro.sim.time import to_ms
 from repro.units import SEC
 from repro.workloads.registry import benchmark_spec
@@ -213,23 +212,20 @@ def throughput_run(num_jobs) -> dict:
 
 
 def knee_sweep(num_jobs) -> dict:
-    """SLO attainment vs offered load on the harness runner."""
-    from repro.harness.runner import Runner
-    from repro.harness.spec import RunOptions, SweepSpec
+    """SLO attainment vs offered load, one streamed retired run per level."""
     spec = benchmark_spec(BENCHMARK)
-    sweep = SweepSpec(benchmarks=(BENCHMARK,), schedulers=(SCHEDULER,),
-                      rate_levels=KNEE_LEVELS, seeds=(SEED,),
-                      num_jobs=num_jobs)
-    with retirement_mode(True):
-        outcome = Runner(workers=1, cache=False).run(sweep, RunOptions())
-    outcome.raise_failures()
     rates = []
-    for cell, result in outcome.results.items():
-        metrics = result.metrics
+    for level in KNEE_LEVELS:
+        rate = spec.rate(level)
+        system = GPUSystem(make_scheduler(SCHEDULER), SimConfig(),
+                           retire=True)
+        system.submit_stream(sustained_source(rate, seed=SEED).jobs(),
+                             max_jobs=num_jobs)
+        metrics = system.run()
         p99 = metrics.p99_latency_ticks
         rates.append({
-            "level": cell.rate_level,
-            "rate_jobs_per_s": spec.rate(cell.rate_level),
+            "level": level,
+            "rate_jobs_per_s": rate,
             "slo_attainment": metrics.deadline_ratio,
             "rejected_fraction": metrics.jobs_rejected / metrics.num_jobs,
             "p99_latency_ms": to_ms(p99) if p99 is not None else None,

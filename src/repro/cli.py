@@ -386,16 +386,13 @@ def _make_validator(args):
 
 
 def _event_core_diagnostics(system) -> Dict[str, object]:
-    """Event-core counters for the run's diagnostics block.
+    """Engine counters for the run's diagnostics block.
 
-    Present on every bundle written from here on (an off-mode run just
-    records the heap counters and a disabled pool); bundles written
-    before the event core existed simply lack the key and the report
-    renderer skips the section.
+    Committed events plus the scheduler's periodic-tick counts; bundles
+    written without the key simply skip the report section.
     """
-    from .sim import job_pool
-    counters: Dict[str, object] = dict(system.sim.event_core_stats())
-    counters["job_pool"] = job_pool.stats()
+    counters: Dict[str, object] = {
+        "events_committed": system.sim.events_committed}
     updater = getattr(system.policy, "_updater", None)
     if updater is not None:
         counters["periodic_ticks_fired"] = updater.ticks_fired
@@ -712,7 +709,7 @@ def _run_cluster(args) -> int:
     fleet = ClusterSystem(
         args.scheduler, config, num_devices=args.devices, router=router,
         seed=args.seed, validate=args.validate, workers=args.workers,
-        retire=(not args.no_retire) if args.stream is not None else None)
+        retire=args.stream is not None and not args.no_retire)
     if args.stream is not None:
         rate = benchmark_spec(args.benchmark).rate(args.rate)
         source = sustained_fleet_source(args.devices, rate,

@@ -22,7 +22,7 @@ Two workload paths, mirroring the single-device API:
 
 Devices are fully independent once lanes are fixed, so ``workers > 1``
 fans the per-device simulations out over a ``ProcessPoolExecutor`` —
-the same worker-process pattern as the PR-3 sweep runner — and is
+the same worker-process pattern as the sweep runner — and is
 bit-identical to serial execution: a worker either re-receives the
 pickled lane (finite path) or re-derives it by deterministic router
 replay (streamed path).
@@ -43,7 +43,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 from ..config import DEFAULT_CONFIG, SimConfig
 from ..errors import ConfigError, SimulationError
 from ..schedulers.registry import make_scheduler
-from ..sim import modes as _modes
 from ..sim.device import GPUSystem
 from ..sim.job import Job
 from .metrics import ClusterMetrics
@@ -71,7 +70,7 @@ class ClusterSystem:
                  num_devices: int = 1, router: str = "round-robin",
                  seed: int = 1, scheduler_args: Sequence = (),
                  telemetry: "TelemetryHub" = None,
-                 retire: Optional[bool] = None, validate: bool = False,
+                 retire: bool = False, validate: bool = False,
                  workers: int = 1,
                  device_telemetry: Optional[Sequence] = None) -> None:
         if num_devices < 1:
@@ -95,9 +94,7 @@ class ClusterSystem:
         self.seed = seed
         self.scheduler_args = tuple(scheduler_args)
         self.telemetry = telemetry
-        # Resolve the ambient retirement default now so pool workers
-        # (fresh interpreters) inherit the caller's effective mode.
-        self.retire = _modes.RETIRE_JOBS if retire is None else bool(retire)
+        self.retire = bool(retire)
         self.validate = validate
         self.workers = workers
         self.device_telemetry = device_telemetry
@@ -313,7 +310,6 @@ class ClusterSystem:
             "retire": self.retire,
             "validate": self.validate,
             "lookahead": self._lookahead,
-            "modes": _modes.snapshot(),
             "workload": workload,
         }
 
@@ -337,14 +333,11 @@ def _device_diagnostics(system: GPUSystem,
 def _device_worker(payload: Dict[str, object]):
     """Run one device lane in a pool worker; module-level, picklable.
 
-    Mirrors the PR-3 ``harness.runner._pool_worker`` pattern: rebuild
+    Mirrors the ``harness.runner._pool_worker`` pattern: rebuild
     everything from the pickled payload, return plain picklable
-    results.  The caller's complete mode snapshot (engine, vectorized,
-    retirement) is re-applied because a fresh interpreter starts from
-    the defaults.
+    results.
     """
     index = payload["index"]
-    _modes.apply(payload["modes"])
     policy = make_scheduler(payload["scheduler"],
                             **dict(payload["scheduler_args"]))
     validator = None

@@ -167,10 +167,9 @@ def fits_free_capacity(job: "Job", cus, reserved_wgs: int = 0) -> bool:
         concurrency = desc.cu_concurrency
         slots = 0
         for cu in cus:
-            # Inline read of the slot-cache memo (exactly what
+            # Inline read of the CU's free-slot memo (exactly what
             # free_full_rate_slots returns when the entry is warm); the
-            # method fills it on a miss.  ``_slots`` stays empty with
-            # ``slot_cache`` off, so this degrades to the plain call.
+            # method fills it on a miss.
             cached = cu._slots.get(concurrency)
             if cached is None:
                 cached = cu.free_full_rate_slots(concurrency)

@@ -24,40 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Priority assigned to jobs past their deadline (Algorithm 2 line 18).
 INFINITE_PRIORITY = math.inf
 
-#: Engine-mode switch (see :mod:`repro.sim.modes`): ``True`` memoises
-#: profiling-table reads per WGList walk, ``False`` restores the seed's
-#: one-lookup-per-kernel loop.  Both produce bit-identical estimates —
-#: within one walk the clock does not move, so repeated
-#: ``completion_rate`` reads return the same float (and repeat only an
-#: idempotent window roll).
-MEMOIZED = True
-
-#: Engine-mode switch (see :mod:`repro.sim.modes`): ``True`` routes the
-#: LAX/hybrid 100 us tick (and admission's Little's-Law sums) through a
-#: :class:`RemainingTimeCache` so WGList walks only re-run for jobs whose
-#: remaining-time inputs actually changed; ``False`` restores the seed
-#: full-table-walk tick verbatim.  Bit-identical either way — argued in
-#: ``docs/performance.md``.
-EPOCH_GATED = True
-
-#: Engine-mode switch (see :mod:`repro.sim.modes`): ``True`` lets the
-#: LAX/hybrid tick evaluate Algorithm 2 over the scheduler's
-#: struct-of-arrays rank state (numpy, when available) instead of the
-#: per-job Python loop; ``False`` restores the PR-5 epoch-gated tick.
-#: Bit-identical either way — argued in ``docs/performance.md``.
-VECTORIZED = True
-
-#: Engine-mode switch (see :mod:`repro.sim.modes`): ``True`` enables the
-#: event-core arrival/tick fast paths — admission's Little's-Law sum runs
-#: as one flattened loop over the cache
-#: (:meth:`RemainingTimeCache.outstanding_sum`) and the 100 us tick is
-#: elided outright while the rank epochs stand still and every priority's
-#: drift provably preserves the published order
-#: (``LaxityScheduler._arm_tick_elision``); ``False`` restores the PR-9
-#: behaviour.  Bit-identical either way — argued in
-#: ``docs/performance.md``.
-EVENT_CORE = True
-
 #: Sentinel distinguishing "type not looked up yet" from a None rate.
 _UNSEEN = object()
 
@@ -71,22 +37,13 @@ def estimate_remaining_time(job: "Job", table: KernelProfilingTable,
     assumes it takes no time, to avoid rejecting work it could potentially
     complete" (Section 4.3).
     """
-    remaining = 0.0
-    if not MEMOIZED:
-        for kernel in job.kernels:
-            wgs = kernel.wgs_remaining
-            if wgs <= 0:
-                continue
-            rate = table.completion_rate(kernel.name, now)
-            if rate is not None and rate > 0.0:
-                remaining += wgs / rate
-        return remaining
     # One table lookup per kernel *type*: jobs repeat a handful of types
-    # across long WGLists, making this the hottest scheduler-side loop.
-    # Kernels before the job's completed-prefix cursor have no WGs
-    # remaining and are skipped wholesale; the sum still visits kernels
-    # in WGList order with per-kernel divisions, so the float result is
-    # exactly the seed loop's.
+    # across long WGLists, making this the hottest scheduler-side loop
+    # (within one walk the clock does not move, so repeated reads would
+    # return the same float).  Kernels before the job's completed-prefix
+    # cursor have no WGs remaining and are skipped wholesale; the sum
+    # still visits kernels in WGList order with per-kernel divisions.
+    remaining = 0.0
     rates: dict = {}
     rates_get = rates.get
     completion_rate = table.completion_rate
@@ -164,9 +121,10 @@ class RemainingTimeCache:
     inputs through the same arithmetic — so reusing it is bit-identical.
 
     Parity rule: :meth:`remaining` must be called at exactly the call
-    sites where the seed path calls :func:`estimate_remaining_time` (it
-    rolls the profiling window on first use per timestamp, just as the
-    seed's first table read would), and nowhere else.
+    sites where a walking scheduler would call
+    :func:`estimate_remaining_time` (it rolls the profiling window on first
+    use per timestamp, just as a walk's first table read would), and
+    nowhere else.
     """
 
     def __init__(self, table: KernelProfilingTable) -> None:
@@ -238,9 +196,8 @@ class RemainingTimeCache:
     def outstanding_sum(self, jobs, now: int, exclude: "Job" = None) -> float:
         """``totRemTime`` in one flattened loop over the cache.
 
-        Event-core replacement for
-        :func:`repro.core.admission.total_outstanding_time` driving a
-        cached estimator: the generic helper pays, per job, the
+        Replaces :func:`repro.core.admission.total_outstanding_time`
+        driving a cached estimator: the generic helper pays, per job, the
         ``remaining_time_or_deadline`` call, the estimator trampoline and
         :meth:`remaining`'s per-call sync fast-out.  Admission runs it
         once per arrival over every live job, so on the sustained

@@ -1,6 +1,6 @@
 """Struct-of-arrays rank state for the vectorized Algorithm 2 tick.
 
-The PR-5 epoch-gated tick already elides WGList walks via the
+The epoch-gated tick already elides WGList walks via the
 :class:`~repro.core.laxity.RemainingTimeCache`; what remains is O(live)
 Python per tick — attribute loads, enum reads and float arithmetic for
 every tabled job, every 100 us.  :class:`RankSoA` moves the rank *inputs*
@@ -22,9 +22,6 @@ Parity contract (argued in ``docs/performance.md``):
   ``(start_time or arrival, job_id)`` key, maintained with the same
   bisect discipline, so the vectorized sweep walks the identical job
   sequence.
-
-The module degrades gracefully: when numpy is unavailable ``HAVE_NUMPY``
-is False and the scheduler keeps using the PR-5 scalar tick.
 """
 
 from __future__ import annotations
@@ -32,12 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
-try:  # pragma: no cover - exercised implicitly on numpy-less hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.job import Job
@@ -54,8 +46,6 @@ class RankSoA:
     """Growable per-slot arrays of Algorithm 2's rank inputs."""
 
     def __init__(self, cache: "RemainingTimeCache") -> None:
-        if _np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("RankSoA requires numpy")
         self._cache = cache
         cache.on_types_changed = self._on_types_changed
         n = _INITIAL_CAPACITY
@@ -225,10 +215,6 @@ class RankSoA:
     def live_slots(self) -> "_np.ndarray":
         """Occupied slot indices (arbitrary order; refresh is per-job)."""
         return _np.nonzero(self.occupied)[0]
-
-    def ready_slots(self) -> "_np.ndarray":
-        """Occupied slots whose job is admitted but not yet issued."""
-        return _np.nonzero(self.occupied & (self.state == READY))[0]
 
     # ------------------------------------------------------------------
     # Admission (Algorithm 1)

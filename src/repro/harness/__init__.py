@@ -12,10 +12,7 @@ from .cache import ResultCache, cache_key, code_fingerprint, default_cache_dir
 from .experiment import (CellResult, ExperimentSpec, PAPER_NUM_JOBS,
                          clear_cache, deadline_counts, default_num_jobs,
                          run_cell)
-# replicate_cell / compare_with_confidence stay importable but raise:
-# their deprecation cycle finished, the stubs point at the sweep API.
 from .replication import (ReplicatedCell, ReplicatedMetric, compare_sweep,
-                          compare_with_confidence, replicate_cell,
                           replicate_sweep)
 from .runner import CellFailure, Runner, SweepOutcome
 from .spec import RunOptions, SweepSpec, single_cell_sweep
@@ -55,7 +52,6 @@ __all__ = [
     "code_fingerprint",
     "collect_results",
     "compare_sweep",
-    "compare_with_confidence",
     "deadline_counts",
     "default_cache_dir",
     "default_num_jobs",
@@ -66,7 +62,6 @@ __all__ = [
     "grid_results",
     "load_results",
     "normalized_deadline_grid",
-    "replicate_cell",
     "replicate_sweep",
     "result_record",
     "run_cell",

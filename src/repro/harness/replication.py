@@ -12,10 +12,7 @@ distributional assumptions).
 Both execute through the sweep :class:`~repro.harness.runner.Runner` —
 serial by default, so behaviour matches the old in-process loops; pass
 ``runner=Runner(workers=N)`` to fan the seeds out over processes and
-reuse the persistent result cache.  The pre-spec string-positional
-entry points (:func:`replicate_cell`, :func:`compare_with_confidence`)
-completed their deprecation cycle and now raise with a pointer to the
-sweep API.
+reuse the persistent result cache.
 """
 
 from __future__ import annotations
@@ -167,34 +164,3 @@ def compare_sweep(sweep: SweepSpec,
         "consistent": all(a >= b for _, a, b in pairs),
     }
 
-
-# ----------------------------------------------------------------------
-# Removed string-positional wrappers (deprecation cycle completed)
-# ----------------------------------------------------------------------
-
-def replicate_cell(*args: object, **kwargs: object) -> None:
-    """Removed.  The PR-3 deprecation cycle is complete: build a
-    :class:`SweepSpec` and call :func:`replicate_sweep` instead::
-
-        replicate_sweep(SweepSpec(benchmarks=("IPV6",),
-                                  schedulers=("LAX",), seeds=(1, 2, 3)),
-                        RunOptions(validate=True))[0]
-    """
-    raise HarnessError(
-        "replicate_cell(benchmark, scheduler, ...) was removed; build a "
-        "SweepSpec and call replicate_sweep(sweep, RunOptions(...))")
-
-
-def compare_with_confidence(*args: object, **kwargs: object) -> None:
-    """Removed.  The PR-3 deprecation cycle is complete: build a
-    two-scheduler :class:`SweepSpec` and call :func:`compare_sweep`
-    instead::
-
-        compare_sweep(SweepSpec(benchmarks=("IPV6",),
-                                schedulers=("LAX", "RR"),
-                                seeds=(1, 2, 3, 4, 5)))
-    """
-    raise HarnessError(
-        "compare_with_confidence(benchmark, challenger, baseline, ...) was "
-        "removed; build a SweepSpec and call compare_sweep(sweep, "
-        "RunOptions(...))")

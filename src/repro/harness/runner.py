@@ -130,8 +130,7 @@ class SweepOutcome:
 
 
 def _pool_worker(spec: ExperimentSpec, config: SimConfig,
-                 validate: bool,
-                 modes_state: Optional[dict] = None) -> Tuple[str, object]:
+                 validate: bool) -> Tuple[str, object]:
     """Run one cell in a worker process; never raises.
 
     Returns a picklable ``(status, payload)`` pair: ``("ok",
@@ -139,16 +138,8 @@ def _pool_worker(spec: ExperimentSpec, config: SimConfig,
     context dict.  Exceptions are flattened here because exception
     classes with rich constructors (e.g. ``InvariantViolation``) do not
     round-trip through pickle reliably.
-
-    ``modes_state`` is the parent's :func:`repro.sim.modes.snapshot`;
-    a fresh interpreter starts from the class-attribute defaults, so
-    without re-applying it a sweep launched under ``engine_mode(False)``
-    (or any partial flag set) would silently run its cells optimized.
     """
     try:
-        if modes_state is not None:
-            from ..sim import modes as _modes
-            _modes.apply(modes_state)
         validator = None
         if validate:
             from ..validation import InvariantChecker
@@ -366,10 +357,8 @@ class Runner:
         max_workers = 1 if isolate else min(self.workers, len(todo))
         executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=max_workers)
-        from ..sim import modes as _modes
-        modes_state = _modes.snapshot()
         futures = [(executor.submit(_pool_worker, spec, options.config,
-                                    options.validate, modes_state), spec)
+                                    options.validate), spec)
                    for spec in todo]
         survivors: List[ExperimentSpec] = []
         timed_out = False

@@ -7,8 +7,7 @@ figures are built from — without running anything.  A
 validation, telemetry sinks) that is not part of a cell's identity.
 :class:`repro.harness.runner.Runner` consumes both; surviving
 string-positional helpers (``deadline_counts``) are thin forwards
-onto this surface, and the removed ones (``replicate_cell``,
-``compare_with_confidence``) raise with a pointer here.
+onto this surface.
 
 Keeping identity (:class:`~repro.harness.experiment.ExperimentSpec`,
 enumerated by :meth:`SweepSpec.cells`) separate from execution policy

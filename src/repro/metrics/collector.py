@@ -347,7 +347,7 @@ class RunMetrics:
     static_energy_joules: float
     wg_completions: int
     wgs_preempted: int = 0
-    #: Aggregate of retired jobs (streaming runs); None on the seed path.
+    #: Aggregate of retired jobs (streaming runs); None without retirement.
     #: Every derived metric below adds its contribution back in.
     stream: Optional[StreamAggregate] = None
     extras: Dict[str, object] = field(default_factory=dict)

@@ -35,11 +35,6 @@ class LaxityPremaHybridScheduler(LaxityScheduler):
 
     name = "LAX-PREMA"
 
-    #: Never arm event-core tick elision: the PREMA epoch scan compares
-    #: priority *values* (``_most_urgent_blocked_kernel``), so frozen
-    #: published priorities would be observable between ticks.
-    _tick_elidable = False
-
     def __init__(self, max_preemptions_per_epoch: int = 8,
                  **lax_kwargs: object) -> None:
         super().__init__(**lax_kwargs)

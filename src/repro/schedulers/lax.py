@@ -18,27 +18,21 @@ The pieces, all device-resident:
 
 from __future__ import annotations
 
-import math
 from operator import attrgetter
 from typing import Optional
 
-from ..core import laxity as laxity_math
+import numpy as _np
+
 from ..core import rank_soa
 from ..core.admission import QueuingDelayAdmission, steady_state_pass
 from ..core.job_table import JobTable
 from ..core.laxity import (INFINITE_PRIORITY, RemainingTimeCache,
-                           estimate_remaining_time, laxity_priority,
-                           priority_with_estimates)
+                           laxity_priority)
 from ..core.rank_soa import RankSoA
-
-try:  # pragma: no cover - exercised implicitly on numpy-less hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 from ..errors import ConfigError
 from ..metrics.tracking import PredictionTracker
 from ..sim.engine import PeriodicTask
-from ..sim.job import Job, JobState
+from ..sim.job import Job
 from .base import SchedulerPolicy
 
 #: Valid ``init_priority`` modes (paper footnote 2).
@@ -46,11 +40,11 @@ INIT_PRIORITY_MODES = ("highest", "lowest", "estimate")
 
 #: Tabled-job count below which the scalar tick and admission sum beat
 #: the SoA path (numpy's fixed per-op cost dominates tiny arrays) — the
-#: rank-level analogue of ``compute_unit._VEC_MIN_RESIDENTS``.  The
-#: SUSTAINED streaming cells retire jobs and hold ~50 live, so they stay
-#: on the PR-5 scalar fast path; the 1280-job fleet cell crosses over as
-#: soon as its backlog builds.  Both sides are bit-identical, so the
-#: gate is purely a cost model.
+#: rank-level analogue of ``dispatcher._VEC_MIN_ACTIVE``.  The SUSTAINED
+#: streaming cells retire jobs and hold ~50 live, so they stay on the
+#: scalar path; the 1280-job fleet cell crosses over as soon as its
+#: backlog builds.  Both sides make the same decisions, so the gate is
+#: purely a cost model.
 _VEC_MIN_JOBS = 64
 
 #: Priority order used by the prediction sampler: precomputed attrgetter
@@ -59,7 +53,7 @@ _PRIORITY_KEY = attrgetter("priority", "arrival", "job_id")
 
 
 class TickStats:
-    """Accounting of the epoch-gated Algorithm 2 tick (gated mode only).
+    """Accounting of the epoch-gated Algorithm 2 tick.
 
     A tick is *elided* when every live job's remaining-time estimate came
     out of the :class:`~repro.core.laxity.RemainingTimeCache` — the rank
@@ -90,12 +84,6 @@ class LaxityScheduler(SchedulerPolicy):
 
     name = "LAX"
 
-    #: Whether the event-core tick-elision gate may arm on this policy.
-    #: True only for plain LAX: the hybrid subclass *reads* priority
-    #: values (not just their order) in its preemption scan, so frozen
-    #: values are observable there and it keeps running every tick body.
-    _tick_elidable = True
-
     def __init__(self, init_priority: str = "highest",
                  enable_admission: bool = True,
                  tracker: Optional[PredictionTracker] = None,
@@ -120,24 +108,15 @@ class LaxityScheduler(SchedulerPolicy):
         #: can possibly produce a new value.
         self.rank_epoch = 0
         self._remaining_cache: Optional[RemainingTimeCache] = None
-        #: Struct-of-arrays rank state (``vectorized_mode``); ``None``
-        #: when the flag or numpy is absent at :meth:`start` time.
+        #: Struct-of-arrays rank state; ``None`` for host-side variants.
         self._rank_soa: Optional[RankSoA] = None
-        #: Gated-tick accounting (stays at zero in seed mode).
+        #: Tick accounting.
         self.tick_stats = TickStats()
-        #: Event-core O(1) admission reserve: sum of first-kernel WG
-        #: counts over READY jobs, maintained incrementally by the
-        #: lifecycle hooks (admit adds, first serve / late reject
-        #: subtracts the same amount, recorded on the job).  Consulted by
-        #: :meth:`_reserved_wgs` only under ``EVENT_CORE``; the seed scan
-        #: stays the oracle in A/B runs.
+        #: O(1) admission reserve: sum of first-kernel WG counts over
+        #: READY jobs, maintained incrementally by the lifecycle hooks
+        #: (admit adds, first serve / late reject subtracts the same
+        #: amount, recorded on the job).  See :meth:`_reserved_wgs`.
         self._ready_reserve = 0
-        #: Event-core tick elision: the epoch key the gate compares
-        #: against (``None`` = disarmed) and the tick horizon (inclusive)
-        #: up to which the published priority order provably drifts
-        #: without re-ranking.  See :meth:`_arm_tick_elision`.
-        self._elide_key: Optional[tuple] = None
-        self._elide_until: float = 0.0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -145,15 +124,8 @@ class LaxityScheduler(SchedulerPolicy):
 
     def start(self) -> None:
         self._remaining_cache = RemainingTimeCache(self.ctx.profiler)
-        # The SoA mirror is built only when the vectorized flag is up at
-        # construction time: a system built in gated/seed mode must not
-        # pay the (small) event-hook cost of maintaining arrays it will
-        # never read — that would flatter the vectorized A/B baseline.
-        # Once built it is maintained regardless of later flag flips, so
-        # toggling ``vectorized_mode`` around an existing system stays
-        # correct (the tick just falls back to the scalar path).
-        if (laxity_math.VECTORIZED and rank_soa.HAVE_NUMPY
-                and not self.host_side):
+        # Host-side variants rank on the host and never read the SoA.
+        if not self.host_side:
             self._rank_soa = RankSoA(self._remaining_cache)
         self._admission = QueuingDelayAdmission(
             self.ctx.profiler, estimate=self._cached_estimate,
@@ -165,7 +137,6 @@ class LaxityScheduler(SchedulerPolicy):
         self._updater = PeriodicTask(
             self.ctx.sim, self.ctx.config.overheads.lax_update_period,
             self._update_priorities, self._any_live_jobs)
-        self._updater.gate = self._tick_gate
 
     @property
     def admission(self) -> Optional[QueuingDelayAdmission]:
@@ -176,12 +147,8 @@ class LaxityScheduler(SchedulerPolicy):
         """``estimate_remaining_time`` through the rank-epoch cache.
 
         Signature-compatible with the free function so Algorithm 1's
-        helpers accept it unchanged.  In seed mode it falls through to the
-        verbatim per-call WGList walk, keeping the differential comparison
-        honest.
+        helpers accept it unchanged.
         """
-        if not laxity_math.EPOCH_GATED:
-            return estimate_remaining_time(job, table, now)
         return self._remaining_cache.remaining(job, now)
 
     # ------------------------------------------------------------------
@@ -214,60 +181,31 @@ class LaxityScheduler(SchedulerPolicy):
             deadline=decision.deadline)
 
     def _outstanding_time(self, now: int, exclude: Job) -> Optional[float]:
-        """Vectorized ``totRemTime`` over the rank SoA, or None (scalar).
+        """Algorithm 1's ``totRemTime`` over the live jobs.
 
-        The SoA tracks exactly the live past-*init* jobs Algorithm 1
-        sums, and :meth:`RankSoA.outstanding_time` permutes its slots into
-        the scalar loop's queue-id iteration order — see its docstring for
-        the bit-identity argument.
+        At :data:`_VEC_MIN_JOBS` tabled jobs and above, a cumulative sum
+        over the rank SoA, which tracks exactly the live past-*init* jobs
+        Algorithm 1 sums and permutes its slots into the scalar loop's
+        queue-id iteration order (see :meth:`RankSoA.outstanding_time`);
+        below it, one flattened loop over the rank-epoch cache
+        (:meth:`RemainingTimeCache.outstanding_sum`).  Both accumulate
+        the same floats left to right.
         """
         soa = self._rank_soa
-        if (soa is not None and laxity_math.VECTORIZED
-                and len(soa) >= _VEC_MIN_JOBS):
+        if soa is not None and len(soa) >= _VEC_MIN_JOBS:
             return soa.outstanding_time(now, exclude)
-        # Event-core scalar fast path: the flattened one-loop sum over
-        # the rank-epoch cache (bit-identity argued on the method).
-        # Requires the epoch-gated cache — with gating off the scalar
-        # helper must run the seed's per-call estimator verbatim.
-        if (laxity_math.EVENT_CORE and laxity_math.EPOCH_GATED
-                and self._remaining_cache is not None):
-            return self._remaining_cache.outstanding_sum(
-                self.ctx.live_jobs(), now, exclude)
-        return None
+        return self._remaining_cache.outstanding_sum(
+            self.ctx.live_jobs(), now, exclude)
 
     def _reserved_wgs(self, candidate: Job) -> int:
-        """WGs promised to admitted jobs whose work is not yet resident."""
-        if laxity_math.EVENT_CORE:
-            # O(1) incremental counter (see ``_ready_reserve``).  The
-            # candidate is still *init* and never counted; READY jobs
-            # have issued nothing, so each counted amount equals the
-            # live ``wgs_pending`` the seed scan would read.
-            return self._ready_reserve
-        soa = self._rank_soa
-        if (soa is not None and laxity_math.VECTORIZED
-                and len(soa) >= _VEC_MIN_JOBS):
-            # Integer sum (order-free) over the SoA's READY slots — the
-            # same set the scalar scan selects: admission inserts jobs
-            # READY, the serve hook flips them RUNNING, and the candidate
-            # itself is still *init*, never tabled.  Below the SoA size
-            # floor the scalar scan wins (same threshold as the tick).
-            reserved = 0
-            for slot in soa.ready_slots().tolist():
-                job = soa.job_at(slot)
-                if job is candidate:
-                    continue
-                kernel = job.next_kernel()
-                if kernel is not None:
-                    reserved += kernel.wgs_pending
-            return reserved
-        reserved = 0
-        for job in self.ctx.live_jobs():
-            if job is candidate or job.state is not JobState.READY:
-                continue
-            kernel = job.next_kernel()
-            if kernel is not None:
-                reserved += kernel.wgs_pending
-        return reserved
+        """WGs promised to admitted jobs whose work is not yet resident.
+
+        The O(1) counter ``_ready_reserve``: the sum of ``wgs_pending``
+        over READY jobs' next kernels.  The candidate is still *init* and
+        never counted; READY jobs have issued nothing, so each counted
+        amount equals the job's live ``wgs_pending``.
+        """
+        return self._ready_reserve
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -373,89 +311,43 @@ class LaxityScheduler(SchedulerPolicy):
 
     def _update_priorities(self) -> None:
         try:
-            if not laxity_math.EPOCH_GATED:
-                self._update_priorities_seed()
-                return
-            # The vectorized tick rides on the epoch-gated one (same
-            # cache, same standing order); it bows out whenever per-job
-            # side channels are active — decision logging and the
-            # prediction tracker want the scalar loop's per-job
-            # interleaving — and below the ``_VEC_MIN_JOBS`` population
-            # where array setup costs more than the scalar sweep.
-            if (laxity_math.VECTORIZED and self._rank_soa is not None
+            # The vectorized tick rides on the scalar one (same cache,
+            # same standing order); it bows out whenever per-job side
+            # channels are active — decision logging and the prediction
+            # tracker want the scalar loop's per-job interleaving — and
+            # below the ``_VEC_MIN_JOBS`` population where array setup
+            # costs more than the scalar sweep.
+            if (self._rank_soa is not None
                     and len(self._rank_soa) >= _VEC_MIN_JOBS
                     and self._tracker is None and not self.decisions_enabled):
                 self._update_priorities_vectorized()
             else:
                 self._update_priorities_gated()
-            # Event-core: decide how long the tick body may be skipped
-            # outright.  Armed only when no per-tick side channel is
-            # active (the elided body emits no decisions, feeds no
-            # tracker, and the invariant checker audits by observing
-            # published values at event times).
-            if (laxity_math.EVENT_CORE and self._tick_elidable
-                    and self._tracker is None and not self.decisions_enabled
-                    and self.ctx.sim.validator is None):
-                self._arm_tick_elision(self.ctx.now)
-            else:
-                self._elide_key = None
         finally:
             # Every variant (and its steady-state sweep) rewrites live
             # priorities; the dispatcher's standing issue order is keyed
             # by them.
             self.ctx.dispatcher.invalidate_order()
 
-    def _update_priorities_seed(self) -> None:
-        """The seed tick, verbatim: full table walk + fresh estimates.
-
-        Kept runnable behind ``laxity.EPOCH_GATED`` so the differential
-        suite can assert the gated tick is bit-identical to it."""
-        now = self.ctx.now
-        profiler = self.ctx.profiler
-        if self._enable_admission:
-            self._steady_state_rejects(now)
-        live = self.ctx.live_jobs()
-        emit = self.decisions_enabled
-        for job in live:
-            previous = job.priority
-            if not emit or job.deadline is None:
-                job.priority = laxity_priority(job, profiler, now)
-                continue
-            # One WGList walk yields the priority and the Equation 1
-            # inputs the decision log wants.  Changed priorities only:
-            # every live job gets re-ranked each 100 us tick, and the
-            # unchanged ones carry no information.
-            priority, laxity, remaining = priority_with_estimates(
-                job, profiler, now)
-            job.priority = priority
-            if priority != previous:
-                self.emit_decision(
-                    "priority_update", job_id=job.job_id,
-                    priority=priority, previous=previous, laxity=laxity,
-                    remaining_estimate=remaining)
-        if self._tracker is not None:
-            self._record_predictions(live, now)
-
     def _update_priorities_gated(self) -> None:
         """The epoch-gated tick: Algorithm 2 without redundant walks.
 
-        Bit-identical to :meth:`_update_priorities_seed` by construction:
+        Computes what a fresh per-tick walk of every job would:
 
         * remaining-time estimates come from the
           :class:`~repro.core.laxity.RemainingTimeCache`, which returns
           exactly the float a fresh WGList walk would (same inputs, same
           arithmetic) and recomputes when any input's version moved;
-        * the cache is consulted at *exactly* the seed's
-          ``estimate_remaining_time`` call sites, so the profiling window
-          rolls at the same timestamps (a cache miss reads the table; a
-          hit skips reads the seed would repeat with identical results);
+        * the cache is consulted at *exactly* the call sites a walking
+          tick would call ``estimate_remaining_time``, so the profiling
+          window rolls at the same timestamps;
         * the priority arithmetic below mirrors :func:`laxity_priority` /
           :func:`priority_with_estimates` operation-for-operation;
         * the steady-state sweep walks the Job Table's standing
           ``(start_time, job_id)`` order instead of re-sorting — the same
           sequence, because the key is frozen per job at bind time and
           *init* jobs (the only live jobs not tabled) are skipped by the
-          sweep in either mode.
+          sweep anyway.
 
         The O(live) arithmetic refresh is *not* skipped on a quiet epoch:
         laxity shifts with ``now`` and a make-it job crossing into
@@ -505,7 +397,7 @@ class LaxityScheduler(SchedulerPolicy):
                     priority=priority, previous=previous, laxity=laxity,
                     remaining_estimate=remaining)
         if self._tracker is not None:
-            self._record_predictions_gated(live, now)
+            self._record_predictions(live, now)
         walked = cache.recomputed - recomputed_before
         stats.ticks += 1
         stats.walks_recomputed += walked
@@ -519,8 +411,8 @@ class LaxityScheduler(SchedulerPolicy):
     def _update_priorities_vectorized(self) -> None:
         """The struct-of-arrays tick: Algorithm 2 as masked array math.
 
-        Bit-identical to :meth:`_update_priorities_gated` by construction
-        (the full argument lives in ``docs/performance.md``):
+        Makes :meth:`_update_priorities_gated`'s decisions by
+        construction (the full argument lives in ``docs/performance.md``):
 
         * estimates still come from the :class:`RemainingTimeCache` —
           the slot arrays only *mirror* its floats, refreshed through
@@ -622,7 +514,7 @@ class LaxityScheduler(SchedulerPolicy):
         same sequential ``totRemTime`` prefix — ``np.add.accumulate`` is
         a left-to-right sum, and skipped jobs contribute exact 0.0 terms
         (``x + 0.0 == x`` for the non-negative estimates involved), so
-        every candidate sees bit-for-bit the seed's prefix.  Rejects are
+        every candidate sees bit-for-bit the scalar pass's prefix.  Rejects are
         discovered first-to-last: each discovery removes that job's
         contribution and rescans only positions after it, mirroring the
         scalar pass where a rejected job never enters the prefix.  The
@@ -655,7 +547,7 @@ class LaxityScheduler(SchedulerPolicy):
                 tot_excl = _np.empty_like(cum)
                 tot_excl[0] = 0.0
                 tot_excl[1:] = cum[:-1]
-                # Seed association order: (tot + remaining) + dur.
+                # Scalar association order: (tot + remaining) + dur.
                 cond = cand & ((tot_excl + rem) + elapsed >= deadline)
                 hits = _np.nonzero(cond[start:])[0]
                 if hits.size == 0:
@@ -682,21 +574,6 @@ class LaxityScheduler(SchedulerPolicy):
         plus its own remaining estimate — consistent with the service
         order the laxity priorities themselves induce.
         """
-        profiler = self.ctx.profiler
-        ordered = sorted(live, key=lambda j: (j.priority, j.arrival, j.job_id))
-        prefix = 0.0
-        for job in ordered:
-            remaining = estimate_remaining_time(job, profiler, now)
-            prefix += remaining
-            if self._tracker.tracks(job):
-                predicted = job.elapsed(now) + prefix
-                self._tracker.record(job, now, predicted, job.priority)
-
-    def _record_predictions_gated(self, live, now: int) -> None:
-        """:meth:`_record_predictions` on cached estimates.
-
-        Same sort key via a precomputed attrgetter, same prefix
-        accumulation order, cache-identical remaining values."""
         cache = self._remaining_cache
         ordered = sorted(live, key=_PRIORITY_KEY)
         prefix = 0.0
@@ -707,30 +584,13 @@ class LaxityScheduler(SchedulerPolicy):
                 predicted = job.elapsed(now) + prefix
                 self._tracker.record(job, now, predicted, job.priority)
 
-    def _steady_state_rejects(self, now: int) -> None:
-        """Algorithm 1's continuous sweep: evict jobs that can no longer
-        make their deadlines so their work stops wasting the device."""
-        ordered = sorted(self.ctx.live_jobs(),
-                         key=lambda j: (j.start_time or j.arrival, j.job_id))
-        for job in steady_state_pass(ordered, self.ctx.profiler, now):
-            self._admission.late_rejected += 1
-            if self.decisions_enabled:
-                elapsed = job.elapsed(now)
-                reason = ("past_deadline" if elapsed > job.deadline
-                          else "queuing_delay")
-                self.emit_decision(
-                    "late_reject", job_id=job.job_id, reason=reason,
-                    elapsed=elapsed, deadline=job.deadline,
-                    tot_rem_time=estimate_remaining_time(
-                        job, self.ctx.profiler, now))
-            self.ctx.cp.cancel_job(job)
-
     def _steady_state_rejects_gated(self, now: int) -> None:
-        """:meth:`_steady_state_rejects` on the standing enqueue order.
+        """Algorithm 1's continuous sweep: evict jobs that can no longer
+        make their deadlines so their work stops wasting the device.
 
-        ``jobs_by_start()`` is the seed's sorted snapshot minus *init*
-        jobs, which the sweep skips anyway; estimates flow through the
-        rank-epoch cache at the seed's exact call sites."""
+        Walks the Job Table's standing ``(start_time, job_id)`` order —
+        the live jobs minus *init* ones, which the sweep skips anyway —
+        with estimates from the rank-epoch cache."""
         ordered = self.job_table.jobs_by_start()
         estimate = self._cached_estimate
         profiler = self.ctx.profiler
@@ -746,141 +606,3 @@ class LaxityScheduler(SchedulerPolicy):
                     elapsed=elapsed, deadline=job.deadline,
                     tot_rem_time=estimate(job, profiler, now))
             self.ctx.cp.cancel_job(job)
-
-    # ------------------------------------------------------------------
-    # Event-core tick elision
-    # ------------------------------------------------------------------
-
-    def _arm_tick_elision(self, now: int) -> None:
-        """Compute how many future ticks this tick's results cover.
-
-        Runs at the end of a full tick.  While the rank epochs stand
-        still, every input to the tick is frozen except the clock: each
-        live job's priority drifts linearly (make-it laxities fall at
-        rate 1, predicted-miss completion times rise at rate 1) and the
-        sweep's rejection inequalities tighten at rate 1.  The margins
-        below bound the first tick offset at which *any* published
-        ordering or sweep decision could differ from simply keeping this
-        tick's values; until then the gated timer re-arms without
-        running the body (:attr:`repro.sim.engine.PeriodicTask.gate`).
-        The epoch key guards everything non-clock: any admission,
-        rejection, completion, WG issue/completion/preemption or window
-        publication bumps one of its three counters and disarms.
-
-        Two profiling-table states are *not* covered by the counters and
-        block arming outright: unpublished ("volatile") types, whose
-        live estimate moves with the clock, and carryover completions,
-        whose eventual publication depends on when the next roll runs
-        (the elided body skips its tick-time roll).
-        """
-        table = self.ctx.profiler
-        if table.unpublished or table.carryover_pending():
-            self._elide_key = None
-            return
-        cache = self._remaining_cache
-        margin = math.inf
-        max_makeit = None
-        min_miss = None
-        for job in self.ctx.live_jobs():
-            deadline = job.deadline
-            if deadline is None:
-                continue  # best-effort: INFINITE at every tick
-            if job.state is JobState.INIT:
-                continue  # re-ranked at admission; the epoch key covers
-            elapsed = job.elapsed(now)
-            if elapsed > deadline:
-                continue  # past-deadline: INFINITE at every tick
-            completion = cache.remaining(job, now) + elapsed
-            if deadline > completion:
-                # Make-it: priority = deadline - completion, falling at
-                # rate 1; flips into the predicted-miss branch when
-                # completion reaches the deadline.
-                priority = deadline - completion
-                if priority < margin:
-                    margin = priority
-                if max_makeit is None or priority > max_makeit:
-                    max_makeit = priority
-            else:
-                # Predicted miss: priority = completion, rising at rate
-                # 1; flips to INFINITE when elapsed passes the deadline.
-                flip = deadline - elapsed
-                if flip < margin:
-                    margin = flip
-                if min_miss is None or completion < min_miss:
-                    min_miss = completion
-        if max_makeit is not None and min_miss is not None:
-            # Make-it and miss priorities converge at rate 2.  Pairs
-            # already ordered miss-below-make-it would cross; any such
-            # pair forbids elision (gap <= 0), otherwise the smallest
-            # possible gap bounds the first crossing.
-            gap = min_miss - max_makeit
-            margin = 0.0 if gap <= 0.0 else min(margin, gap / 2.0)
-        if self._enable_admission and margin > 0.0:
-            sweep = self._sweep_margin(now)
-            if sweep < margin:
-                margin = sweep
-        if margin <= 1.0:
-            self._elide_key = None
-            return
-        horizon = (math.inf if math.isinf(margin)
-                   else int(margin) - 1)  # conservative: strict, floored
-        self._elide_key = (self.rank_epoch, table.rank_epoch,
-                          table.mutations)
-        self._elide_until = now + horizon
-
-    def _sweep_margin(self, now: int) -> float:
-        """First tick offset at which the steady-state sweep could act.
-
-        Replays :func:`repro.core.admission.steady_state_pass` over the
-        post-sweep table (this tick's rejects are already gone) with the
-        frozen cached estimates, extracting per-candidate slack instead
-        of verdicts: the past-deadline rule arms when elapsed outgrows
-        the deadline, the Little's-Law rule when the frozen prefix plus
-        the growing elapsed term reaches it.  The prefix accumulates in
-        the sweep's exact order, so each slack bounds that candidate's
-        true rejection time under unchanged epochs.
-        """
-        margin = math.inf
-        tot = 0.0
-        cache = self._remaining_cache
-        for job in self.job_table.jobs_by_start():
-            state = job.state
-            if state is not JobState.READY and state is not JobState.RUNNING:
-                continue
-            deadline = job.deadline
-            if deadline is None:
-                continue
-            dur = job.elapsed(now)
-            slack = deadline - dur
-            if slack < margin:
-                margin = slack
-            remaining = cache.remaining(job, now)
-            if remaining <= 0.0:
-                continue  # no rate info: only the past-deadline rule
-            if state == "running":
-                tot += remaining
-                continue
-            slack = deadline - (tot + remaining + dur)
-            if slack < margin:
-                margin = slack
-            tot += remaining
-        return margin
-
-    def _tick_gate(self) -> bool:
-        """Whether the next periodic tick may skip its body (event-core).
-
-        Installed as the updater's :attr:`~repro.sim.engine.PeriodicTask.
-        gate`; True re-arms the timer without running Algorithm 2.  The
-        timer event itself still fires, so the committed event sequence
-        (and ``events_fired``) is identical to the ungated run.
-        """
-        if not laxity_math.EVENT_CORE or not laxity_math.EPOCH_GATED:
-            return False
-        key = self._elide_key
-        if key is None:
-            return False
-        table = self.ctx.profiler
-        if (key[0] != self.rank_epoch or key[1] != table.rank_epoch
-                or key[2] != table.mutations):
-            return False
-        return self.ctx.now <= self._elide_until

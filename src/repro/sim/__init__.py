@@ -14,9 +14,6 @@ from .engine import EventHandle, PeriodicTask, Simulator
 from .host import Host
 from .job import Job, JobState
 from .kernel import KernelDescriptor, KernelInstance, KernelPhase
-from .modes import (engine_mode, event_core_mode, get_engine_mode,
-                    get_event_core, get_retirement, retirement_mode,
-                    set_engine_mode, set_event_core, set_retirement)
 from .protocol import Device
 from .queues import ComputeQueue, QueuePool
 from .command_processor import CommandProcessor
@@ -45,16 +42,7 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "WGDispatcher",
-    "engine_mode",
-    "event_core_mode",
-    "get_engine_mode",
-    "get_event_core",
-    "get_retirement",
     "occupancy_timeline",
     "render_occupancy",
-    "retirement_mode",
     "run_workload",
-    "set_engine_mode",
-    "set_event_core",
-    "set_retirement",
 ]

@@ -21,7 +21,6 @@ from typing import List, TYPE_CHECKING
 
 from ..config import OverheadConfig
 from ..errors import SimulationError
-from . import job_pool
 from .engine import Simulator
 from .job import Job, JobState
 from .kernel import KernelInstance
@@ -53,14 +52,6 @@ class _ParserBank:
 class CommandProcessor:
     """Scheduling brain of the simulated GPU."""
 
-    #: Event-core-mode switch (see :mod:`repro.sim.modes`): schedule the
-    #: arrival fast path's engine re-entries — stream inspection and
-    #: kernel activation — as fusable continuations, and count the
-    #: job references they hold so the job pool can gate recycling.
-    #: ``False`` restores plain scheduling; the committed event sequence
-    #: is identical either way.
-    fused = True
-
     def __init__(self, sim: Simulator, overheads: OverheadConfig,
                  pool: "QueuePool", dispatcher: "WGDispatcher",
                  policy: "SchedulerPolicy",
@@ -86,8 +77,8 @@ class CommandProcessor:
         self.validator = None
         #: Whether terminal jobs are retired (outcome folded into the
         #: metrics stream aggregate, kernel state released).  Set by the
-        #: GPUSystem from ``repro.sim.modes.RETIRE_JOBS``; off keeps the
-        #: seed behaviour of one JobOutcome per job.
+        #: GPUSystem's ``retire`` argument; off keeps one JobOutcome per
+        #: job.
         self.retire = False
         dispatcher.on_wg_complete = self._on_wg_complete
 
@@ -117,18 +108,10 @@ class CommandProcessor:
         if skip_inspection:
             self._admit_job(job, inspected=False)
         else:
-            now = self._sim.now
-            done = self._parser.admit(now)
-            if CommandProcessor.fused:
-                job.pending_events += 1
-                self._sim.schedule_fusable(done - now, self._on_inspected,
-                                           job)
-            else:
-                self._sim.schedule_at(done, self._on_inspected, job)
+            done = self._parser.admit(self._sim.now)
+            self._sim.schedule_at(done, self._on_inspected, job)
 
     def _on_inspected(self, job: Job) -> None:
-        if job.pending_events:
-            job.pending_events -= 1
         if job.state is not JobState.INIT:
             return  # rejected while inspection was in flight
         self._admit_job(job, inspected=True)
@@ -199,20 +182,12 @@ class CommandProcessor:
             self._try_activate(job)
 
     def _try_activate(self, job: Job) -> None:
-        if CommandProcessor.fused:
-            for kernel in self._pool.queue_of(job).ready_kernels():
-                job.pending_events += 1
-                self._sim.schedule_fusable(self._overheads.cp_parse_period,
-                                           self._activate, kernel)
-            return
         for kernel in self._pool.queue_of(job).ready_kernels():
             self._sim.schedule(self._overheads.cp_parse_period,
                                self._activate, kernel)
 
     def _activate(self, kernel: KernelInstance) -> None:
         job = kernel.job
-        if job.pending_events:
-            job.pending_events -= 1
         # The job may have been preempt-rearranged; guard against repeats.
         if job.is_done or kernel.phase.value != "queued":
             return
@@ -264,14 +239,6 @@ class CommandProcessor:
         if self.validator is not None:
             self.validator.on_job_retired(job, self._pool)
         self._metrics.retire_job(job)
-        # Event-core fast path: park the job for reuse instead of letting
-        # the allocator churn.  Gated to device-side policies (host-side
-        # command events hold job references the CP does not count) and
-        # validator-off runs (the checker audits retired jobs by
-        # identity); recycle() itself refuses jobs with in-flight events.
-        if (CommandProcessor.fused and self.validator is None
-                and not self._policy.host_side and job_pool.recycle(job)):
-            return
         job.retire()
 
     def _release_queue(self, job: Job) -> None:

@@ -26,7 +26,7 @@ Two rate facts make the hot paths cheap without changing a single result
 * a batch of WGs admitted at one timestamp needs only one progress sync
   and one timer re-arm, so the dispatcher brackets its pump with
   :meth:`ComputeUnit.issue_wgs` / :meth:`ComputeUnit.flush_issue` instead
-  of paying O(residents) float work per WG via :meth:`start_wg`.
+  of paying one O(residents) sync and re-arm per WG.
 """
 
 from __future__ import annotations
@@ -36,27 +36,13 @@ from typing import Callable, List, Optional
 
 from ..config import GPUConfig
 from ..errors import ResourceError, SimulationError
-from .cu_arrays import NO_RESIDENTS, ResidentArrays
+from .cu_arrays import NO_RESIDENTS
 from .engine import EventHandle, Simulator
 from .energy import EnergyMeter
 from .kernel import KernelDescriptor, KernelInstance
 
-try:  # pragma: no cover - exercised implicitly on numpy-less hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: Remaining work below this many ticks counts as finished (float slack).
 _WORK_EPSILON = 0.5
-
-#: Resident count below which the scalar sync/reschedule loops beat the
-#: array path (numpy's fixed per-op cost dominates tiny arrays).  The
-#: paper's GCN config caps a CU at 40 wavefront slots, so on that config
-#: the arrays never engage and the grouped scalar loops — already the
-#: PR-4 fast path — keep the hot seat; configs with larger CUs cross
-#: over.  Measured honestly in ``BENCH_vectorized_core.json``.
-_VEC_MIN_RESIDENTS = 64
-
 
 class ResidentWG:
     """A workgroup resident on a CU with its remaining service demand."""
@@ -78,35 +64,6 @@ class ResidentWG:
 
 class ComputeUnit:
     """One processor-sharing compute unit."""
-
-    #: Class-level engine-mode switch (see :mod:`repro.sim.modes`).
-    #: ``False`` restores the seed per-WG sync/min-scan loops.
-    grouped = True
-
-    #: Engine-mode switch (see :mod:`repro.sim.modes`): ``True`` keeps the
-    #: residents' (remaining, concurrency) columns in numpy arrays so
-    #: ``_sync``/``_reschedule`` become elementwise rate math plus one
-    #: reduction.  Bit-identical to both the seed per-WG loop and the
-    #: grouped run-length loop — argued in ``docs/performance.md``.
-    vectorized = True
-
-    #: Event-core-mode switch (see :mod:`repro.sim.modes`): memoize
-    #: :meth:`free_full_rate_slots` per requested concurrency class.  The
-    #: admission fast path asks every CU per arrival; the answer is a
-    #: pure integer function of the resident set, so the memo is cleared
-    #: at every residency mutation (unconditionally — flag flips mid-run
-    #: must never leave a stale entry) and exact while it lives.
-    slot_cache = True
-
-    #: Event-core-mode switch (see :mod:`repro.sim.modes`): drain a
-    #: completion timer in one pass — progress application, the
-    #: finished/survivor split and the lane-time sum are fused into a
-    #: single loop over the residents instead of ``_sync`` plus two
-    #: listcomps.  Same float expressions in the same order as the
-    #: grouped seed path, so results match bit for bit; the grouped
-    #: scalar representation is required (the resident arrays keep
-    #: their own vectorized drain).
-    fused_drain = True
 
     def __init__(self, cu_id: int, sim: Simulator, config: GPUConfig,
                  energy: EnergyMeter,
@@ -152,26 +109,24 @@ class ComputeUnit:
         #: Optional InvariantChecker auditing occupancy after every
         #: residency change (same off-path pattern as the trace sinks).
         self.validator = None
-        # Vectorized-mode state (repro.sim.cu_arrays): the dispatcher's
-        # occupancy rows this CU writes through to (None until the
-        # dispatcher first runs vectorized — seed systems never attach),
-        # the resident SoA (lazily created by _sync under the flag) and
-        # the maintained min resident CU-concurrency backing
+        # The dispatcher's occupancy rows this CU writes through to (None
+        # until the dispatcher's first array pump attaches them) and the
+        # maintained min resident CU-concurrency backing
         # free_full_rate_slots in array form.
         self._occ = None
-        self._res: Optional[ResidentArrays] = None
         self._min_conc = NO_RESIDENTS
-        # free_full_rate_slots memo: concurrency -> slots (see slot_cache).
+        # free_full_rate_slots memo, concurrency -> slots: a pure integer
+        # function of the resident set, cleared at every residency change.
         self._slots: dict = {}
 
     # ------------------------------------------------------------------
-    # Vectorized-mode mirrors
+    # Occupancy-array mirror
     # ------------------------------------------------------------------
 
     def attach_occupancy(self, occ) -> None:
         """Adopt the dispatcher's occupancy rows and seed this CU's.
 
-        Called once, lazily, by the dispatcher's first vectorized pump;
+        Called once, lazily, by the dispatcher's first array pump;
         from then on every residency/hold mutation writes the row through
         so the arrays always equal the scalar counters.
         """
@@ -202,32 +157,9 @@ class ComputeUnit:
         """Re-derive the min resident concurrency after evictions."""
         if self._occ is None:
             return
-        res = self._res
-        if res is not None and res.count == len(self._residents):
-            self._min_conc = (int(res.concurrency[:res.count].min())
-                              if res.count else NO_RESIDENTS)
-            return
         residents = self._residents
         self._min_conc = (min(wg.concurrency for wg in residents)
                           if residents else NO_RESIDENTS)
-
-    def _res_arrays(self) -> Optional[ResidentArrays]:
-        """Resident SoA under the current mode flag.
-
-        Creates the arrays on first vectorized use (from the WG objects,
-        whose ``remaining`` is current at that point) and migrates the
-        authoritative ``remaining`` values back into the objects when the
-        flag is flipped off mid-run — the two stores never drift.
-        """
-        res = self._res
-        if type(self).vectorized and _np is not None:
-            if res is None and len(self._residents) >= _VEC_MIN_RESIDENTS:
-                res = self._res = ResidentArrays(self._residents)
-            return res
-        if res is not None:
-            res.writeback(self._residents)
-            self._res = None
-        return None
 
     # ------------------------------------------------------------------
     # Capacity queries
@@ -238,19 +170,6 @@ class ComputeUnit:
         """Workgroups currently resident."""
         return len(self._residents)
 
-    def rate_of(self, wg: ResidentWG) -> float:
-        """Progress rate of one resident WG under current residency.
-
-        Processor sharing over the SIMD units (``min(1, c/n)``), further
-        throttled when the optional bandwidth model is on and the
-        residents' aggregate traffic exceeds this CU's bandwidth slice.
-        """
-        n = len(self._residents)
-        rate = 1.0 if n <= wg.concurrency else wg.concurrency / n
-        if self._bw_slice > 0.0 and self._bw_demand > self._bw_slice:
-            rate *= self._bw_slice / self._bw_demand
-        return rate
-
     def free_full_rate_slots(self, concurrency: int) -> int:
         """Additional WGs of CU-concurrency ``concurrency`` this CU could
         host with every resident still progressing at full rate.
@@ -259,23 +178,18 @@ class ComputeUnit:
         by the residents' (adding beyond the smallest resident concurrency
         would slow that resident down).
         """
-        if ComputeUnit.slot_cache:
-            cached = self._slots.get(concurrency)
-            if cached is not None:
-                return cached
-            limit = concurrency
-            for wg in self._residents:
-                if wg.concurrency < limit:
-                    limit = wg.concurrency
-            value = limit - len(self._residents)
-            if value < 0:
-                value = 0
-            self._slots[concurrency] = value
-            return value
+        cached = self._slots.get(concurrency)
+        if cached is not None:
+            return cached
         limit = concurrency
         for wg in self._residents:
-            limit = min(limit, wg.concurrency)
-        return max(0, limit - len(self._residents))
+            if wg.concurrency < limit:
+                limit = wg.concurrency
+        value = limit - len(self._residents)
+        if value < 0:
+            value = 0
+        self._slots[concurrency] = value
+        return value
 
     def free_threads(self) -> int:
         """Thread slots not used or held."""
@@ -285,14 +199,6 @@ class ComputeUnit:
         """Wavefront slots not used or held."""
         return (self._wavefronts_limit
                 - self.used_wavefronts - self._held_wavefronts)
-
-    def free_vgpr(self) -> int:
-        """VGPR bytes not used or held."""
-        return self._vgpr_limit - self.used_vgpr - self._held_vgpr
-
-    def free_lds(self) -> int:
-        """LDS bytes not used or held."""
-        return self._lds_limit - self.used_lds - self._held_lds
 
     def can_accept(self, desc: KernelDescriptor) -> bool:
         """Whether one WG of ``desc`` fits in the free resources."""
@@ -350,31 +256,13 @@ class ComputeUnit:
     # ------------------------------------------------------------------
 
     def start_wg(self, kernel: KernelInstance) -> None:
-        """Place one WG of ``kernel`` on this CU."""
+        """Place one WG of ``kernel`` on this CU (checked single issue)."""
         desc = kernel.descriptor
         if not self.can_accept(desc):
             raise ResourceError(
                 f"CU{self.cu_id} cannot accept WG of {desc.name}")
-        self._sync()
-        if self._slots:
-            self._slots.clear()
-        wg = ResidentWG(kernel, self._config.wavefront_size)
-        self._residents.append(wg)
-        if self._res is not None:
-            self._res.append(wg.remaining, wg.concurrency, 1)
-        self._bw_demand += wg.bw_demand
-        self.used_threads += wg.threads
-        self.used_wavefronts += wg.wavefronts
-        self.used_vgpr += wg.vgpr_bytes
-        self.used_lds += wg.lds_bytes
-        if self._occ is not None:
-            if wg.concurrency < self._min_conc:
-                self._min_conc = wg.concurrency
-            self._occ_write()
-        kernel.note_wg_issued(self._sim.now)
-        self._reschedule()
-        if self.validator is not None:
-            self.validator.on_cu_update(self)
+        self.issue_wgs(kernel, 1)
+        self.flush_issue()
 
     def issue_wgs(self, kernel: KernelInstance, count: int) -> None:
         """Admit ``count`` WGs of ``kernel`` as one batch (no timer re-arm).
@@ -403,8 +291,6 @@ class ComputeUnit:
             residents.append(wg)
             self._bw_demand += wg.bw_demand
             note_issued(now)
-        if self._res is not None:
-            self._res.append(wg.remaining, wg.concurrency, count)
         self.used_threads += desc.threads_per_wg * count
         self.used_wavefronts += wg.wavefronts * count
         self.used_vgpr += desc.vgpr_bytes_per_wg * count
@@ -436,11 +322,6 @@ class ComputeUnit:
             return 0
         if self._slots:
             self._slots.clear()
-        if self._res is not None:
-            keep = _np.fromiter((wg.kernel is not kernel
-                                 for wg in self._residents),
-                                dtype=bool, count=len(self._residents))
-            self._res.compact(keep)
         self._residents = [wg for wg in self._residents if wg.kernel is not kernel]
         for wg in evicted:
             self._bw_demand -= wg.bw_demand
@@ -501,131 +382,77 @@ class ComputeUnit:
     def _sync(self) -> None:
         """Apply progress accrued since the last sync at the old rates.
 
-        Grouped mode computes ``dt * rate`` once per CU-concurrency class
-        and applies that same float to every member — bit-identical to
-        the seed's per-WG evaluation, because members of a class share
-        the exact rate expression and float multiplication is
-        deterministic.  The accumulation order over residents (and hence
-        the energy meter's float sums) is unchanged.
+        Run-length grouping: residents arrive kernel-major, so
+        same-concurrency WGs sit in consecutive runs and ``dt * rate`` is
+        computed once per run and applied to every member.  A repeat of
+        an earlier concurrency recomputes the identical float (same
+        deterministic expression), so every WG sees exactly the progress
+        a per-WG evaluation would give it, and the lane-time sum runs
+        left to right over the residents.
         """
         now = self._sim.now
         dt = now - self._last_sync
         residents = self._residents
-        res = self._res_arrays()
         if dt > 0 and residents:
-            if res is not None:
-                # Vectorized: elementwise IEEE-754 double ops reproduce
-                # the scalar loop exactly — ``c / n`` and ``dt * rate``
-                # are the same operations per element (dt < 2^53, so the
-                # int->double conversion is lossless), and the lane-time
-                # sum uses cumsum, which numpy evaluates as the same
-                # left-to-right sequential accumulation as the loop
-                # (np.add.reduce would not: it sums pairwise).
-                n = len(residents)
-                conc = res.concurrency[:res.count]
-                rate = _np.where(conc >= n, 1.0, conc / n)
-                factor = self._bw_factor()
-                if factor != 1.0:
-                    rate *= factor
-                progress = dt * rate
-                res.remaining[:res.count] -= progress
-                lane_time = float(progress.cumsum()[-1])
-                self.work_done += lane_time
-                self._energy.add_lane_time(lane_time)
-                self._last_sync = now
-                return
             lane_time = 0.0
-            if not self.grouped:
-                for wg in residents:
-                    progress = dt * self.rate_of(wg)
-                    wg.remaining -= progress
-                    lane_time += progress
-            else:
-                # Run-length grouping: residents arrive kernel-major, so
-                # same-concurrency WGs sit in consecutive runs and the
-                # rate is recomputed only on a run boundary.  A repeat of
-                # an earlier concurrency recomputes the identical float
-                # (same deterministic expression), so results match the
-                # per-WG loop bit for bit.
-                n = len(residents)
-                factor = self._bw_factor()
-                last_c = 0
-                progress = 0.0
-                for wg in residents:
-                    c = wg.concurrency
-                    if c != last_c:
-                        rate = 1.0 if n <= c else c / n
-                        if factor != 1.0:
-                            rate *= factor
-                        progress = dt * rate
-                        last_c = c
-                    wg.remaining -= progress
-                    lane_time += progress
+            n = len(residents)
+            factor = self._bw_factor()
+            last_c = 0
+            progress = 0.0
+            for wg in residents:
+                c = wg.concurrency
+                if c != last_c:
+                    rate = 1.0 if n <= c else c / n
+                    if factor != 1.0:
+                        rate *= factor
+                    progress = dt * rate
+                    last_c = c
+                wg.remaining -= progress
+                lane_time += progress
             self.work_done += lane_time
             self._energy.add_lane_time(lane_time)
         self._last_sync = now
 
     def _reschedule(self) -> None:
+        """Re-arm the completion timer at the earliest WG completion.
+
+        Min completion per rate run: comparisons find the least remaining
+        work of each consecutive same-concurrency run, then one division
+        per run.  Division by a positive rate is monotonic, so each run's
+        minimum delay, and the overall minimum, is the exact float a
+        per-WG scan would select.
+        """
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        if not self._residents:
+        residents = self._residents
+        if not residents:
             return
         min_delay: Optional[float] = None
-        res = self._res
-        # The resident arrays are authoritative whenever they exist (a
-        # flag flip migrates them back inside the next _sync), so their
-        # presence — not the flag — selects the path here.
-        if res is not None:
-            # Vectorized: the per-WG delays are the identical floats the
-            # scalar scans divide out (same rate expression, same
-            # division), and a min-reduction is exact regardless of
-            # evaluation order, so the selected delay matches bit for
-            # bit.
-            n = res.count
-            conc = res.concurrency[:n]
-            rate = _np.where(conc >= n, 1.0, conc / n)
-            factor = self._bw_factor()
-            if factor != 1.0:
-                rate *= factor
-            min_delay = float((res.remaining[:n] / rate).min())
-        elif not self.grouped:
-            for wg in self._residents:
-                delay = wg.remaining / self.rate_of(wg)
-                if min_delay is None or delay < min_delay:
-                    min_delay = delay
-        else:
-            # Min completion per rate run: comparisons find the least
-            # remaining work of each consecutive same-concurrency run,
-            # then one division per run.  Division by a positive rate is
-            # monotonic, so each run's minimum delay — and the overall
-            # minimum — is the exact float the seed's per-WG scan would
-            # have selected.
-            residents = self._residents
-            n = len(residents)
-            factor = self._bw_factor()
-            last_c = 0
-            rate = 1.0
-            run_min = 0.0
-            for wg in residents:
-                c = wg.concurrency
-                if c != last_c:
-                    if last_c:
-                        delay = run_min / rate
-                        if min_delay is None or delay < min_delay:
-                            min_delay = delay
-                    rate = 1.0 if n <= c else c / n
-                    if factor != 1.0:
-                        rate *= factor
-                    last_c = c
-                    run_min = wg.remaining
-                else:
-                    remaining = wg.remaining
-                    if remaining < run_min:
-                        run_min = remaining
-            delay = run_min / rate
-            if min_delay is None or delay < min_delay:
-                min_delay = delay
+        n = len(residents)
+        factor = self._bw_factor()
+        last_c = 0
+        rate = 1.0
+        run_min = 0.0
+        for wg in residents:
+            c = wg.concurrency
+            if c != last_c:
+                if last_c:
+                    delay = run_min / rate
+                    if min_delay is None or delay < min_delay:
+                        min_delay = delay
+                rate = 1.0 if n <= c else c / n
+                if factor != 1.0:
+                    rate *= factor
+                last_c = c
+                run_min = wg.remaining
+            else:
+                remaining = wg.remaining
+                if remaining < run_min:
+                    run_min = remaining
+        delay = run_min / rate
+        if min_delay is None or delay < min_delay:
+            min_delay = delay
         if min_delay <= _WORK_EPSILON:
             ticks = 0
         else:
@@ -633,67 +460,16 @@ class ComputeUnit:
         self._timer = self._sim.schedule(ticks, self._on_timer)
 
     def _on_timer(self) -> None:
-        self._timer = None
-        if (ComputeUnit.fused_drain and self.grouped
-                and self._res is None and self._residents):
-            self._drain_timer()
-            return
-        self._sync()
-        res = self._res
-        if res is not None:
-            # Arrays are authoritative for remaining work; the finished
-            # filter keeps resident order, so completions fire in the
-            # exact sequence the scalar listcomp produces.
-            mask = res.remaining[:res.count] <= _WORK_EPSILON
-            if not mask.any():
-                # Rates changed between arming and firing; just re-arm.
-                self._reschedule()
-                return
-            flags = mask.tolist()
-            residents = self._residents
-            finished = [wg for wg, done in zip(residents, flags) if done]
-            self._residents = [wg for wg, done in zip(residents, flags)
-                               if not done]
-            res.compact(~mask)
-        else:
-            finished = [wg for wg in self._residents
-                        if wg.remaining <= _WORK_EPSILON]
-            if not finished:
-                # Rates changed between arming and firing; just re-arm.
-                self._reschedule()
-                return
-            self._residents = [wg for wg in self._residents
-                               if wg.remaining > _WORK_EPSILON]
-        if self._slots:
-            self._slots.clear()
-        for wg in finished:
-            self._bw_demand -= wg.bw_demand
-            self.used_threads -= wg.threads
-            self.used_wavefronts -= wg.wavefronts
-            self.used_vgpr -= wg.vgpr_bytes
-            self.used_lds -= wg.lds_bytes
-        if self._occ is not None:
-            self._recompute_min_conc()
-            self._occ_write()
-        self._reschedule()
-        if self.validator is not None:
-            self.validator.on_cu_update(self)
-        now = self._sim.now
-        for wg in finished:
-            self._on_wg_complete(wg.kernel, now)
+        """Drain a completion timer in one pass over the residents.
 
-    def _drain_timer(self) -> None:
-        """One-pass timer drain (``fused_drain``, grouped scalar only).
-
-        Fuses ``_sync``'s run-length progress application with the
-        finished/survivor partition and the lane-time accumulation: one
-        loop over the residents instead of three.  Every float operation
-        (``c / n``, the bandwidth factor multiply, ``dt * rate``, the
-        subtraction and the left-to-right ``lane_time`` sum) is the exact
-        expression of the grouped seed path evaluated in the same order,
-        and the partition preserves resident order, so completions fire
-        in the identical sequence with identical state.
+        Fuses :meth:`_sync`'s run-length progress application with the
+        finished/survivor partition: every float operation (``c / n``,
+        the bandwidth factor multiply, ``dt * rate``, the subtraction and
+        the left-to-right ``lane_time`` sum) is :meth:`_sync`'s own
+        expression in the same order, and the partition preserves
+        resident order, so completions fire in resident order.
         """
+        self._timer = None
         now = self._sim.now
         dt = now - self._last_sync
         residents = self._residents

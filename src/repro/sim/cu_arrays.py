@@ -1,41 +1,20 @@
-"""Struct-of-arrays CU state for the vectorized dispatcher paths.
+"""Per-CU occupancy arrays for the dispatcher's array pumps.
 
-Two array families back ``vectorized_mode`` (see :mod:`repro.sim.modes`):
-
-* :class:`CUOccupancyArrays` — dispatcher-owned, one element per CU:
-  free thread/wavefront/VGPR/LDS counters, resident counts and the
-  minimum resident CU-concurrency.  ``batch_capacity`` for a whole
-  device becomes one broadcast min-reduce per resource
-  (:meth:`CUOccupancyArrays.capacity`), and the dispatcher's saturation
-  fast-out becomes a single masked ``any``.  Each
-  :class:`~repro.sim.compute_unit.ComputeUnit` writes its row through on
-  every residency/hold change, so the arrays always equal the scalar
-  counters they mirror — integer bookkeeping, no float state, hence no
-  equivalence caveats.
-
-* :class:`ResidentArrays` — per-CU, one element per resident WG:
-  remaining service demand and CU-concurrency, aligned index-for-index
-  with the CU's ``_residents`` list.  ``_sync``/``_reschedule`` become
-  elementwise rate math plus one reduction.  While these arrays exist
-  they are authoritative for ``remaining`` (the ``ResidentWG`` objects
-  keep identity, kernel refs and the integer occupancy fields); flipping
-  the mode off mid-run migrates values back to the objects.
-
-Both are created lazily the first time a vectorized consumer runs, so
-systems built in seed/gated mode never pay a single write-through — the
-A/B baseline stays untouched.
+:class:`CUOccupancyArrays` is dispatcher-owned, one element per CU: free
+thread/wavefront/VGPR/LDS counters, resident counts and the minimum
+resident CU-concurrency.  ``batch_capacity`` for a whole device becomes
+one broadcast min-reduce per resource (:meth:`CUOccupancyArrays.capacity`),
+and the dispatcher's saturation fast-out becomes a single masked ``any``.
+Each :class:`~repro.sim.compute_unit.ComputeUnit` writes its row through
+on every residency/hold change, so the arrays always equal the scalar
+counters they mirror: integer bookkeeping, no float state.  The arrays
+are created by the first pump above the dispatcher's population gate, so
+small systems never pay a write-through.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-try:  # pragma: no cover - exercised implicitly on numpy-less hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 #: ``min_conc`` sentinel for a CU with no residents (any kernel's own
 #: concurrency bounds first).
@@ -46,8 +25,6 @@ class CUOccupancyArrays:
     """Per-CU free-resource, load and concurrency rows."""
 
     def __init__(self, cus) -> None:
-        if _np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("CUOccupancyArrays requires numpy")
         n = len(cus)
         self.free_threads = _np.zeros(n, dtype=_np.int64)
         self.free_wavefronts = _np.zeros(n, dtype=_np.int64)
@@ -78,47 +55,3 @@ class CUOccupancyArrays:
             bound = _np.minimum(self.min_conc, concurrency) - self.loads
             caps = _np.minimum(caps, _np.maximum(bound, 0))
         return caps
-
-
-class ResidentArrays:
-    """Growable (remaining, concurrency) columns for one CU's residents."""
-
-    __slots__ = ("remaining", "concurrency", "count")
-
-    def __init__(self, residents) -> None:
-        n = len(residents)
-        capacity = max(16, n * 2)
-        self.remaining = _np.zeros(capacity, dtype=_np.float64)
-        self.concurrency = _np.zeros(capacity, dtype=_np.int64)
-        self.count = n
-        for index, wg in enumerate(residents):
-            self.remaining[index] = wg.remaining
-            self.concurrency[index] = wg.concurrency
-
-    def append(self, remaining: float, concurrency: int, copies: int) -> None:
-        needed = self.count + copies
-        if needed > self.remaining.size:
-            capacity = max(needed, self.remaining.size * 2)
-            grown_rem = _np.zeros(capacity, dtype=_np.float64)
-            grown_rem[:self.count] = self.remaining[:self.count]
-            grown_conc = _np.zeros(capacity, dtype=_np.int64)
-            grown_conc[:self.count] = self.concurrency[:self.count]
-            self.remaining = grown_rem
-            self.concurrency = grown_conc
-        self.remaining[self.count:needed] = remaining
-        self.concurrency[self.count:needed] = concurrency
-        self.count = needed
-
-    def compact(self, keep_mask) -> None:
-        """Drop residents where ``keep_mask`` is False (array order)."""
-        kept = int(_np.count_nonzero(keep_mask))
-        self.remaining[:kept] = self.remaining[:self.count][keep_mask]
-        self.concurrency[:kept] = self.concurrency[:self.count][keep_mask]
-        self.count = kept
-
-    def writeback(self, residents: List) -> None:
-        """Migrate authoritative ``remaining`` back into the WG objects
-        (mode flipped off mid-run)."""
-        values = self.remaining[:self.count].tolist()
-        for wg, value in zip(residents, values):
-            wg.remaining = value

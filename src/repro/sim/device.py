@@ -15,7 +15,6 @@ from ..config import DEFAULT_CONFIG, SimConfig
 from ..core.profiling import KernelProfilingTable
 from ..errors import SimulationError
 from ..metrics.collector import MetricsCollector, RunMetrics
-from . import modes as _modes
 from .command_processor import CommandProcessor
 from .dispatcher import WGDispatcher
 from .energy import EnergyMeter
@@ -37,12 +36,15 @@ class GPUSystem:
     .TelemetryHub` (lifecycle trace, decision log, metrics registry and
     simulator self-profiler).  With neither, the telemetry layer stays
     completely detached and runs are bit-identical to the untraced path.
+    ``retire=True`` folds each terminal job into the metrics' stream
+    aggregate and releases its kernel state (O(live) memory for long
+    streams; ``RunMetrics`` then carries aggregates, not per-job rows).
     """
 
     def __init__(self, policy: "SchedulerPolicy",
                  config: SimConfig = DEFAULT_CONFIG,
                  trace=None, telemetry: "TelemetryHub" = None,
-                 validator=None, retire: Optional[bool] = None) -> None:
+                 validator=None, retire: bool = False) -> None:
         from ..schedulers.base import DeviceContext
 
         self.config = config
@@ -78,10 +80,8 @@ class GPUSystem:
         self.cp = CommandProcessor(self.sim, config.overheads, self.pool,
                                    self.dispatcher, policy, self.profiler,
                                    self.metrics)
-        # Job retirement (streaming memory mode): explicit argument wins,
-        # otherwise the ambient default from repro.sim.modes.
-        if retire is None:
-            retire = _modes.RETIRE_JOBS
+        # Job retirement (streaming memory mode): fold each terminal job
+        # into the metrics stream aggregate and release its kernel state.
         self.cp.retire = bool(retire)
         self.cp.trace = trace
         self.ctx.cp = self.cp

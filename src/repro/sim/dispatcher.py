@@ -10,17 +10,25 @@ accept them, until nothing more fits.
 Pumps triggered inside one event timestamp are coalesced into a single
 delay-0 event so bursts of WG completions cost one ranking pass.
 
-The pump issues in **batches**: instead of one ``start_wg`` (full
-O(residents) sync + timer cancel/re-push) and one all-CU rescan per WG,
-it solves each kernel's placement against integer capacity counters
-(:meth:`ComputeUnit.batch_capacity`), admits every WG bound for a CU in
-one :meth:`ComputeUnit.issue_wgs` call, and re-arms each touched CU's
-timer exactly once via :meth:`ComputeUnit.flush_issue` — in the order
-the per-WG loop's surviving timer pushes would have happened, so the
-event heap's FIFO tie-breaking (and therefore every simulated result) is
-identical to the seed per-WG path.  ``docs/performance.md`` has the
-argument in full; ``WGDispatcher.batched = False`` restores the seed
-loop for benchmarking and differential testing.
+Every pump places WGs through one routine, :meth:`WGDispatcher._place`:
+it solves a kernel's placement against integer capacity counters
+(:meth:`ComputeUnit.batch_capacity`, or the occupancy arrays' broadcast
+form), admits every WG bound for a CU in one
+:meth:`ComputeUnit.issue_wgs` call, and leaves each touched CU's timer to
+be re-armed exactly once via :meth:`ComputeUnit.flush_issue` — in the
+order a per-WG issue loop's surviving timer pushes would have happened,
+so the event heap's FIFO tie-breaking is that of issuing one WG at a
+time.  ``docs/performance.md`` has the argument in full.  The pumps
+differ only in how they walk the ranking:
+
+* :meth:`~WGDispatcher._pump_single` — one pending kernel (the
+  streaming common case): no ranking at all;
+* :meth:`~WGDispatcher._pump_batched` — the general scalar walk;
+* :meth:`~WGDispatcher._pump_bucketed_vec` /
+  :meth:`~WGDispatcher._pump_batched_vec` — at :data:`_VEC_MIN_ACTIVE`
+  active kernels and above, capacity comes from
+  :class:`~repro.sim.cu_arrays.CUOccupancyArrays` and base-order
+  policies keep a standing shape-bucketed issue order across pumps.
 """
 
 from __future__ import annotations
@@ -38,21 +46,14 @@ from .engine import Simulator
 from .energy import EnergyMeter
 from .kernel import KernelInstance
 
-try:  # pragma: no cover - exercised implicitly on numpy-less hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Masked-load sentinel for the vectorized least-loaded argmin (beyond
-#: any real resident count) and the "no kernel seen yet" thread floor.
+#: "No kernel seen yet" floor for the monotone threads/WG lower bound.
 _HUGE = 2 ** 62
 
-#: Active-kernel count below which the scalar pump beats the array one
-#: (numpy/heap setup per pump dominates tiny active sets) — the dispatch
-#: analogue of ``compute_unit._VEC_MIN_RESIDENTS``.  Streaming cells
-#: that retire jobs hold ~50 active kernels and stay on the PR-4 scalar
-#: fast path; backlogged fleet cells cross over at once.  Both pumps are
-#: bit-identical, so the gate is purely a cost model.
+#: Active-kernel count below which the scalar pumps beat the array ones
+#: (numpy/heap setup per pump dominates tiny active sets).  Streaming
+#: cells that retire jobs hold ~50 active kernels and stay scalar;
+#: backlogged fleet cells cross over at once.  Both sides make the same
+#: decisions, so the gate is purely a cost model.
 _VEC_MIN_ACTIVE = 64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,30 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class WGDispatcher:
     """Fills CU slots from active kernels in policy order."""
-
-    #: Class-level engine-mode switch (see :mod:`repro.sim.modes`).
-    #: ``False`` restores the seed per-WG issue loop.
-    batched = True
-
-    #: Event-core switch (see :mod:`repro.sim.modes`): ``True`` lets the
-    #: pump consult the standing pending set — an insertion-ordered dict
-    #: of active kernels with unissued WGs, maintained at the handful of
-    #: sites that change issue counts — instead of re-scanning the whole
-    #: active list on every pump.  The set's iteration order equals the
-    #: active-list filter's output order (appends mirror ``add_kernel``;
-    #: preemption, the only path that re-pends a consumed kernel, rebuilds
-    #: the set from the active list), so both sources hand ``issue_order``
-    #: the same sequence and the pumps are decision-for-decision
-    #: identical.  ``False`` restores the seed per-pump scan.
-    counted = True
-
-    #: Engine-mode switch (see :mod:`repro.sim.modes`): ``True`` solves
-    #: pump capacity against the dispatcher-owned per-CU occupancy arrays
-    #: (``repro.sim.cu_arrays``) — one broadcast min-reduce per resource
-    #: shape, a vectorized least-loaded placement and an O(1) saturation
-    #: fast-out — instead of per-CU Python scans.  Decision-for-decision
-    #: identical to the scalar batched pump (``docs/performance.md``).
-    vectorized = True
 
     def __init__(self, sim: Simulator, gpu_config: GPUConfig,
                  energy: EnergyMeter) -> None:
@@ -99,8 +76,10 @@ class WGDispatcher:
             cu.on_capacity_freed = self.request_pump
         self._active: List[KernelInstance] = []
         #: Standing pending set: active kernels with WGs left to issue,
-        #: in active-list order (see the ``counted`` flag).  Dict-as-set
-        #: for O(1) membership plus insertion order.
+        #: in active-list order, so pumps never re-scan the active list.
+        #: Dict-as-set for O(1) membership plus insertion order.  Appends
+        #: mirror ``add_kernel``; preemption, the only path that re-pends
+        #: a consumed kernel, rebuilds it from the active list.
         self._pending_set: dict = {}
         self._policy: Optional["SchedulerPolicy"] = None
         self._pump_pending = False
@@ -119,15 +98,15 @@ class WGDispatcher:
         #: Total preemption evictions performed.
         self.wgs_preempted = 0
         self._wavefront_size = gpu_config.wavefront_size
-        # Vectorized-mode state: the per-CU occupancy arrays (created
-        # lazily by the first vectorized pump; never for seed/gated
-        # systems) and a monotone lower bound on threads/WG over every
-        # kernel ever activated, backing the O(1) saturation fast-out.
+        # Array-pump state: the per-CU occupancy arrays (created lazily by
+        # the first pump above the gate) and a monotone lower bound on
+        # threads/WG over every kernel ever activated, backing the O(1)
+        # saturation fast-out.
         self._occ: Optional[CUOccupancyArrays] = None
         self._min_threads_seen = _HUGE
         self._base_order = False
         self._issue_key = None
-        #: Standing issue order for the bucketed vectorized pump: resource
+        #: Standing issue order for the bucketed array pump: resource
         #: shape -> [head_index, sorted [(issue_key, kernel), ...]].
         #: ``None`` means "rebuild from the active set".  Valid only while
         #: every cached key matches its job's current priority and no
@@ -135,21 +114,17 @@ class WGDispatcher:
         #: :meth:`invalidate_order` calls from priority-writing ticks,
         #: cancellation and preemption.
         self._order_buckets: Optional[dict] = None
-        #: Bucketed-pump accounting (diagnostics; cheap integer adds).
-        #: ``order_rebuilds`` full sorts of the active set,
-        #: ``order_invalidations`` cache drops while a cache existed,
-        #: ``bucketed_pumps`` merge pumps run, ``bucket_pops`` heap pops
-        #: across them, ``bucket_parks`` whole-bucket capacity parks.
+        #: Bucketed-pump accounting (diagnostics; cheap integer adds):
+        #: full sorts of the active set, cache drops while a cache
+        #: existed, and merge pumps run.
         self.order_rebuilds = 0
         self.order_invalidations = 0
         self.bucketed_pumps = 0
-        self.bucket_pops = 0
-        self.bucket_parks = 0
 
     def attach_policy(self, policy: "SchedulerPolicy") -> None:
         """Set the ranking policy; must happen before any activation."""
         self._policy = policy
-        # The vectorized pump may rank lazily (heap-select instead of a
+        # The bucketed pump may rank lazily (heap-select instead of a
         # full sort) only when the policy uses the base issue_order —
         # a pure sort on default_issue_key, whose (job_id, kernel.index)
         # suffix makes every key unique, so heap pop order equals sorted
@@ -174,9 +149,8 @@ class WGDispatcher:
         if kernel in self._active:
             raise SimulationError(f"kernel {kernel!r} activated twice")
         kernel.mark_active(self._sim.now)
-        # Maintained regardless of the mode flag (one compare on a cold
-        # path) so a mid-run flip cannot leave the bound too high, which
-        # would make the vectorized saturation fast-out skip real work.
+        # Maintained on every activation (one compare on a cold path) so
+        # the array pump's saturation fast-out can never skip real work.
         threads = kernel.descriptor.threads_per_wg
         if threads < self._min_threads_seen:
             self._min_threads_seen = threads
@@ -189,18 +163,10 @@ class WGDispatcher:
         self.request_pump()
 
     def request_pump(self) -> None:
-        """Schedule a pump at the current timestamp (coalesced).
-
-        Scheduled as a fusable continuation: under the event-core wheel
-        the pump runs inline after the triggering handler whenever no
-        queued event precedes it — the common case for WG-completion
-        bursts — saving a queue round-trip per pump.  Outside the wheel
-        run loop this is exactly ``schedule(0, ...)``; either way the
-        committed event sequence is identical.
-        """
+        """Schedule a pump at the current timestamp (coalesced)."""
         if not self._pump_pending:
             self._pump_pending = True
-            self._sim.schedule_fusable(0, self._pump)
+            self._sim.schedule(0, self._pump)
 
     # ------------------------------------------------------------------
     # Preemption (PREMA)
@@ -223,7 +189,7 @@ class WGDispatcher:
             self.invalidate_order()
             # Rebuild (rather than append to) the pending set: a kernel
             # re-pended out of order must re-enter at its active-list
-            # position for the set to keep mirroring the per-pump scan.
+            # position.
             self._pending_set = {
                 k: None for k in self._active
                 if k.descriptor.num_wgs > k.wgs_issued}
@@ -276,8 +242,8 @@ class WGDispatcher:
         the job's kernels are active — the scheduler ticks (LAX, SRF) and
         the host's priority-register writes do; admission-time initial
         priorities precede kernel activation and need not.  Cancellation
-        and preemption invalidate internally.  A no-op outside
-        ``vectorized_mode`` (the cache is never built).
+        and preemption invalidate internally.  A no-op while no order is
+        cached (below the array gate it is never built).
         """
         if self._order_buckets is not None:
             self.order_invalidations += 1
@@ -308,65 +274,6 @@ class WGDispatcher:
         self.on_wg_complete(kernel, now)
         self.request_pump()
 
-    def _pick_cu(self, kernel: KernelInstance) -> Optional[ComputeUnit]:
-        """Least-loaded CU that can accept one WG of ``kernel``.
-
-        Jobs parked at infinite priority (latency-insensitive work, or
-        jobs a deadline-aware policy wrote off) are backfill: their WGs
-        only go into slots where every resident keeps running at full
-        rate, so they soak up spare capacity without ever slowing
-        deadline work — resident WGs cannot be preempted by priority
-        alone, so the protection must happen at issue time.
-        """
-        backfill_only = (math.isinf(kernel.job.priority)
-                         or not self._config.greedy_occupancy)
-        best: Optional[ComputeUnit] = None
-        best_load = -1
-        desc = kernel.descriptor
-        if WGDispatcher.counted:
-            # Flattened fit test: ``can_accept``'s four free-resource
-            # compares inlined, with the wavefront rounding hoisted out
-            # of the CU loop (every CU shares the config's wavefront
-            # size).  Same predicates, same iteration order, same
-            # least-loaded/first-on-tie argmin as the seed loop below.
-            threads = desc.threads_per_wg
-            vgpr = desc.vgpr_bytes_per_wg
-            lds = desc.lds_bytes_per_wg
-            concurrency = desc.cu_concurrency
-            wavefronts = None
-            for cu in self.cus:
-                if wavefronts is None:
-                    wavefronts = desc.wavefronts_per_wg(cu._wavefront_size)
-                if (threads > (cu._threads_limit - cu.used_threads
-                               - cu._held_threads)
-                        or wavefronts > (cu._wavefronts_limit
-                                         - cu.used_wavefronts
-                                         - cu._held_wavefronts)
-                        or vgpr > (cu._vgpr_limit - cu.used_vgpr
-                                   - cu._held_vgpr)
-                        or lds > (cu._lds_limit - cu.used_lds
-                                  - cu._held_lds)):
-                    continue
-                if backfill_only and cu.free_full_rate_slots(
-                        concurrency) <= 0:
-                    continue
-                load = len(cu._residents)
-                if best is None or load < best_load:
-                    best = cu
-                    best_load = load
-            return best
-        for cu in self.cus:
-            if not cu.can_accept(desc):
-                continue
-            if backfill_only and cu.free_full_rate_slots(
-                    desc.cu_concurrency) <= 0:
-                continue
-            load = cu.num_residents
-            if best is None or load < best_load:
-                best = cu
-                best_load = load
-        return best
-
     def _pump(self) -> None:
         self._pump_pending = False
         self._pump_once()
@@ -374,100 +281,62 @@ class WGDispatcher:
             self.validator.on_dispatch(self)
 
     def _pump_once(self) -> None:
-        counted = self.counted
-        if counted and not self._pending_set:
-            # Nothing has WGs left to issue: the pump is a no-op on every
-            # flavour, so skip even the mode probes.  (No cache to drop —
-            # an idle pump never consumes standing-order heads.)
+        if not self._pending_set:
+            # Nothing has WGs left to issue.  (No cache to drop — an idle
+            # pump never consumes standing-order heads.)
             return
-        vectorized = (self.vectorized and _np is not None
-                      and len(self._active) >= _VEC_MIN_ACTIVE)
+        vectorized = len(self._active) >= _VEC_MIN_ACTIVE
         if not vectorized and self._order_buckets is not None:
-            # Crossing below the gate: the scalar pump issues WGs without
+            # Crossing below the gate: the scalar pumps issue WGs without
             # maintaining the standing order, so drop it rather than let
             # a stale cache greet the next crossing back up.
             self.invalidate_order()
-        if vectorized and self._active:
-            # The O(1) array check runs *before* the O(active) pending
-            # scan: a saturated device skips both it and the ranking
-            # pass.  The reorder is outcome-neutral — either early-out
-            # leaves every piece of state untouched.
+        if vectorized:
+            # The O(1) array check runs *before* the pending list copy: a
+            # saturated device skips both it and the ranking pass.
             if not self._any_capacity_vec():
                 return
-            if self.batched and self._base_order:
-                # Base-issue_order policies take the bucketed merge: the
-                # standing shape-bucketed order replaces both the pending
-                # scan and the per-pump ranking pass.
+            if self._base_order:
+                # The standing shape-bucketed order replaces both the
+                # pending list and the per-pump ranking pass.
                 self._pump_bucketed_vec()
                 return
-        # wgs_pending > 0: the standing pending set when counted, else
-        # the seed per-pump scan with the property inlined.  Same
-        # kernels, same order (see the ``counted`` flag).
-        if counted:
-            pending = list(self._pending_set)
-        else:
-            pending = [k for k in self._active
-                       if k.descriptor.num_wgs > k.wgs_issued]
-        if not pending:
-            return
+        pending = list(self._pending_set)
         if not vectorized and not self._any_capacity(pending):
             return
         if self._policy is None:
             raise SimulationError("dispatcher has no policy attached")
-        if self.batched:
-            if vectorized:
-                self._pump_batched_vec(pending)
-            elif (counted and len(pending) == 1
-                    and not self._policy.filtering_issue):
-                self._pump_single(pending[0])
-            else:
-                self._pump_batched(pending)
+        if vectorized:
+            self._pump_batched_vec(pending)
+        elif len(pending) == 1 and not self._policy.filtering_issue:
+            self._pump_single(pending[0])
         else:
-            self._pump_per_wg(pending)
+            self._pump_batched(pending)
 
-    def _pump_single(self, kernel: KernelInstance) -> None:
-        """Counted fast path: the entire pending set is one kernel.
+    def _place(self, kernel: KernelInstance, caps: List[int],
+               loads: List[int], touched: List[ComputeUnit]) -> int:
+        """Issue up to ``kernel.wgs_pending`` WGs of ``kernel``.
 
-        Ranking one kernel is the identity for every non-filtering
-        policy, so :meth:`_pump_batched`'s sort, shape memo, blocked-set
-        and served-list machinery all collapse; what remains is the same
-        capacity solve (``batch_capacity`` per CU), the same
-        least-loaded/first-on-tie argmin, and the same issue / flush /
-        hook call sequence — streaming cells at ~1 pending kernel per
-        completion spend most pumps here.  Decision-for-decision
-        identical to handing ``[kernel]`` to the general loop.
+        The one WG placement loop every pump shares.  ``caps[i]`` is how
+        many WGs of the kernel CU ``i`` can still admit and ``loads[i]``
+        its resident count; both are decremented/incremented in place as
+        WGs are placed, so a pump carries them across kernels.  Each WG
+        goes to the least-loaded CU with capacity, first CU on a tie —
+        the pick a per-WG loop over ``can_accept`` makes.  The placement
+        is then committed per CU: ``issue_wgs`` in first-pick order (the
+        order a per-WG loop would first sync each CU's progress) and
+        ``touched`` reordered by last pick (the order its surviving timer
+        pushes would happen), so the caller's final ``flush_issue`` pass
+        preserves the event heap's FIFO ties.  Then the issue counter,
+        profiler and trace hooks and ``mark_running``.  Returns the
+        number of WGs issued.
         """
-        desc = kernel.descriptor
-        backfill_only = (math.isinf(kernel.job.priority)
-                         or not self._config.greedy_occupancy)
         cus = self.cus
         num_cus = len(cus)
-        now = self._sim.now
-        profiler = self.profiler
+        want = kernel.wgs_pending
         wg_trace = (self.trace
                     if self.trace is not None and self.trace.wg_events
                     else None)
-        want = kernel.wgs_pending
-        if want == 1:
-            # One WG: ``batch_capacity > 0`` reduces to ``can_accept``
-            # plus the backfill gate, which is exactly the seed
-            # least-loaded pick — no division-heavy capacity vector.
-            cu = self._pick_cu(kernel)
-            if cu is None:
-                return
-            cu.issue_wgs(kernel, 1)
-            self.wgs_issued += 1
-            if profiler is not None:
-                profiler.on_wgs_issued(kernel.name, 1, now)
-            if wg_trace is not None:
-                wg_trace.emit(now, "wg_issue", job_id=kernel.job.job_id,
-                              kernel=kernel.name, cu=cu.cu_id)
-            kernel.job.mark_running(now)
-            cu.flush_issue()
-            self._note_served([kernel])
-            return
-        caps = [cu.batch_capacity(desc, backfill_only) for cu in cus]
-        loads = [cu.num_residents for cu in cus]
         assigned = [0] * num_cus
         first_pick = [-1] * num_cus
         last_pick = [-1] * num_cus
@@ -494,14 +363,23 @@ class WGDispatcher:
                 pick_order.append(best)
             issued += 1
         if issued == 0:
-            return
+            return 0
         chosen = [index for index in range(num_cus) if assigned[index]]
         chosen.sort(key=first_pick.__getitem__)
         for index in chosen:
             cus[index].issue_wgs(kernel, assigned[index])
+        chosen.sort(key=last_pick.__getitem__)
+        for index in chosen:
+            cu = cus[index]
+            try:
+                touched.remove(cu)
+            except ValueError:
+                pass
+            touched.append(cu)
         self.wgs_issued += issued
-        if profiler is not None:
-            profiler.on_wgs_issued(kernel.name, issued, now)
+        now = self._sim.now
+        if self.profiler is not None:
+            self.profiler.on_wgs_issued(kernel.name, issued, now)
         if wg_trace is not None:
             job_id = kernel.job.job_id
             name = kernel.name
@@ -509,36 +387,50 @@ class WGDispatcher:
                 wg_trace.emit(now, "wg_issue", job_id=job_id,
                               kernel=name, cu=cus[index].cu_id)
         kernel.job.mark_running(now)
-        chosen.sort(key=last_pick.__getitem__)
-        for index in chosen:
-            cus[index].flush_issue()
-        self._note_served([kernel])
+        return issued
+
+    def _backfill_only(self, kernel: KernelInstance) -> bool:
+        """Whether ``kernel`` may only take full-rate slots.
+
+        Jobs parked at infinite priority (latency-insensitive work, or
+        jobs a deadline-aware policy wrote off) are backfill: their WGs
+        only go into slots where every resident keeps running at full
+        rate, so they soak up spare capacity without ever slowing
+        deadline work — resident WGs cannot be preempted by priority
+        alone, so the protection must happen at issue time.
+        """
+        return (math.isinf(kernel.job.priority)
+                or not self._config.greedy_occupancy)
+
+    def _pump_single(self, kernel: KernelInstance) -> None:
+        """The entire pending set is one kernel.
+
+        Ranking one kernel is the identity for every non-filtering
+        policy, so the sort, shape memo and blocked-set machinery of
+        :meth:`_pump_batched` collapse to one capacity solve — streaming
+        cells at ~1 pending kernel per completion spend most pumps here.
+        """
+        desc = kernel.descriptor
+        backfill_only = self._backfill_only(kernel)
+        cus = self.cus
+        caps = [cu.batch_capacity(desc, backfill_only) for cu in cus]
+        loads = [cu.num_residents for cu in cus]
+        touched: List[ComputeUnit] = []
+        if self._place(kernel, caps, loads, touched):
+            for cu in touched:
+                cu.flush_issue()
+            self._note_served([kernel])
 
     def _pump_batched(self, pending: Sequence[KernelInstance]) -> None:
-        """Batched issue: solve placement on counters, admit per CU.
+        """Scalar batched issue over the policy's ranking.
 
-        Decision-for-decision equivalent to :meth:`_pump_per_wg`: the
-        inner loop replays the least-loaded/first-on-tie pick over
-        integer capacity and load counters (``batch_capacity`` counts
-        exactly the successive ``can_accept`` rounds that would pass),
-        then commits each CU's WGs in one ``issue_wgs`` call.  Per-CU
-        progress syncs happen in first-pick order and timer re-arms in
-        last-pick order — the orders the per-WG loop produces — so float
-        accumulation and event-heap FIFO ties are preserved exactly.
         Capacity vectors are memoized per descriptor resource shape
         between admissions (see the ``shape_caps`` comment below), which
         collapses the per-kernel ``batch_capacity`` rescans of fleets
         with many kernel types over few distinct shapes.
         """
         served: List[KernelInstance] = []
-        now = self._sim.now
         cus = self.cus
-        num_cus = len(cus)
-        greedy = self._config.greedy_occupancy
-        profiler = self.profiler
-        wg_trace = (self.trace
-                    if self.trace is not None and self.trace.wg_events
-                    else None)
         # ``batch_capacity`` is a pure function of a descriptor's
         # *resource shape* — threads/WG, VGPR/WG, LDS/WG, and (when
         # backfilling) the concurrency class — against the CU's free
@@ -548,10 +440,10 @@ class WGDispatcher:
         # every shape, so it drops all *other* cached vectors, while the
         # admitting shape's own vector stays exact by decrement (each
         # same-shape WG admitted lowers every binding per-resource bound
-        # by exactly one — the same algebra the inner placement loop
-        # already relies on).  Resources only shrink within one pump, so
-        # a shape whose vector bottoms out can be parked in
-        # ``blocked_shapes`` for the rest of the round.
+        # by exactly one — the same algebra the placement loop relies
+        # on).  Resources only shrink within one pump, so a shape whose
+        # vector bottoms out can be parked in ``blocked_shapes`` for the
+        # rest of the round.
         shape_caps: dict = {}
         blocked_shapes = set()
         # CUs with admitted-but-unflushed WGs, ordered by most recent
@@ -561,107 +453,22 @@ class WGDispatcher:
         # pump's own admissions changes residency mid-pump.
         loads = [cu.num_residents for cu in cus]
         for kernel in self._policy.issue_order(pending):
-            desc = kernel.descriptor
-            backfill_only = (math.isinf(kernel.job.priority) or not greedy)
-            shape = (desc.threads_per_wg, desc.vgpr_bytes_per_wg,
-                     desc.lds_bytes_per_wg, desc.cu_concurrency,
-                     backfill_only)
+            shape = self._kernel_shape(kernel)
             if shape in blocked_shapes:
                 continue
             caps = shape_caps.get(shape)
             if caps is None:
-                caps = [cu.batch_capacity(desc, backfill_only) for cu in cus]
+                caps = [cu.batch_capacity(kernel.descriptor, shape[4])
+                        for cu in cus]
                 shape_caps[shape] = caps
             want = kernel.wgs_pending
-            if want == 1:
-                # Single-WG fast path: one least-loaded scan over the
-                # capacity vector (``batch_capacity > 0`` iff
-                # ``can_accept`` passes its backfill gate), no placement
-                # arrays.
-                best = -1
-                best_load = -1
-                for index in range(num_cus):
-                    if caps[index] > 0:
-                        load = loads[index]
-                        if best < 0 or load < best_load:
-                            best = index
-                            best_load = load
-                if best < 0:
-                    blocked_shapes.add(shape)
-                    continue
-                cu = cus[best]
-                caps[best] -= 1
-                loads[best] += 1
-                cu.issue_wgs(kernel, 1)
-                if len(shape_caps) > 1:
-                    shape_caps = {shape: caps}
-                try:
-                    touched.remove(cu)
-                except ValueError:
-                    pass
-                touched.append(cu)
-                self.wgs_issued += 1
-                if profiler is not None:
-                    profiler.on_wgs_issued(kernel.name, 1, now)
-                if wg_trace is not None:
-                    wg_trace.emit(now, "wg_issue", job_id=kernel.job.job_id,
-                                  kernel=kernel.name, cu=cu.cu_id)
-                kernel.job.mark_running(now)
-                served.append(kernel)
-                continue
-            assigned = [0] * num_cus
-            first_pick = [-1] * num_cus
-            last_pick = [-1] * num_cus
-            pick_order = [] if wg_trace is not None else None
-            issued = 0
-            while issued < want:
-                best = -1
-                best_load = -1
-                for index in range(num_cus):
-                    if caps[index] > 0:
-                        load = loads[index]
-                        if best < 0 or load < best_load:
-                            best = index
-                            best_load = load
-                if best < 0:
-                    break
-                caps[best] -= 1
-                loads[best] += 1
-                assigned[best] += 1
-                if first_pick[best] < 0:
-                    first_pick[best] = issued
-                last_pick[best] = issued
-                if pick_order is not None:
-                    pick_order.append(best)
-                issued += 1
+            issued = self._place(kernel, caps, loads, touched)
             if issued < want:
                 blocked_shapes.add(shape)
             if issued == 0:
                 continue
             if len(shape_caps) > 1:
                 shape_caps = {shape: caps}
-            chosen = [index for index in range(num_cus) if assigned[index]]
-            chosen.sort(key=first_pick.__getitem__)
-            for index in chosen:
-                cus[index].issue_wgs(kernel, assigned[index])
-            chosen.sort(key=last_pick.__getitem__)
-            for index in chosen:
-                cu = cus[index]
-                try:
-                    touched.remove(cu)
-                except ValueError:
-                    pass
-                touched.append(cu)
-            self.wgs_issued += issued
-            if profiler is not None:
-                profiler.on_wgs_issued(kernel.name, issued, now)
-            if wg_trace is not None:
-                job_id = kernel.job.job_id
-                name = kernel.name
-                for index in pick_order:
-                    wg_trace.emit(now, "wg_issue", job_id=job_id,
-                                  kernel=name, cu=cus[index].cu_id)
-            kernel.job.mark_running(now)
             served.append(kernel)
         for cu in touched:
             cu.flush_issue()
@@ -671,10 +478,15 @@ class WGDispatcher:
     def _kernel_shape(self, kernel: KernelInstance) -> tuple:
         """The kernel's placement resource shape (see ``_pump_batched``)."""
         desc = kernel.descriptor
-        backfill_only = (math.isinf(kernel.job.priority)
-                         or not self._config.greedy_occupancy)
         return (desc.threads_per_wg, desc.vgpr_bytes_per_wg,
-                desc.lds_bytes_per_wg, desc.cu_concurrency, backfill_only)
+                desc.lds_bytes_per_wg, desc.cu_concurrency,
+                self._backfill_only(kernel))
+
+    def _shape_capacity(self, shape: tuple, desc) -> List[int]:
+        """``batch_capacity`` of ``shape`` on every CU, from the arrays."""
+        return self._occ.capacity(
+            shape[0], desc.wavefronts_per_wg(self._wavefront_size),
+            shape[1], shape[2], shape[3], shape[4]).tolist()
 
     def _build_order_buckets(self) -> dict:
         """Rebuild the standing issue order from the active set."""
@@ -710,15 +522,15 @@ class WGDispatcher:
         insort(entries, item)
 
     def _pump_bucketed_vec(self) -> None:
-        """Bucketed-merge batched issue (``vectorized_mode``, base order).
+        """Bucketed-merge batched issue (array pump, base order).
 
-        Decision-for-decision equivalent to :meth:`_pump_batched` when the
-        policy ranks with the base ``issue_order`` (a pure sort on
-        ``default_issue_key``, whose ``(job_id, kernel.index)`` suffix
-        makes every key unique).  Instead of re-scanning and re-ranking
-        the whole active set each pump, the sorted order is kept standing
-        across pumps, bucketed by placement resource shape, and each pump
-        runs a k-way merge over the bucket *heads*:
+        Makes :meth:`_pump_batched`'s decisions when the policy ranks with
+        the base ``issue_order`` (a pure sort on ``default_issue_key``,
+        whose ``(job_id, kernel.index)`` suffix makes every key unique).
+        Instead of re-scanning and re-ranking the whole active set each
+        pump, the sorted order is kept standing across pumps, bucketed by
+        placement resource shape, and each pump runs a k-way merge over
+        the bucket *heads*:
 
         * cached keys always equal fresh keys — every ``job.priority``
           rewrite that can touch an active kernel invalidates the cache
@@ -729,7 +541,7 @@ class WGDispatcher:
           (fully issued or finished) — monotone within the cache's
           lifetime because the one event that refills a pending pool,
           preemption, invalidates — so skipped entries are exactly the
-          kernels the scalar pending scan drops;
+          kernels the scalar pending set drops;
         * a head whose shape has no capacity parks its whole bucket for
           the rest of the pump — exactly the scalar loop's
           ``blocked_shapes`` skip, which drops every later same-shape
@@ -741,8 +553,6 @@ class WGDispatcher:
           walk would skip — so the admission sequence is identical.
 
         Per-pump work collapses from O(active) to O(admissions + shapes).
-        The placement inner loops are the scalar ones verbatim; all state
-        is integer, so there is no float tolerance on this path.
         """
         buckets = self._order_buckets
         if buckets is None:
@@ -759,24 +569,13 @@ class WGDispatcher:
         heappop = heapq.heappop
         heappush = heapq.heappush
         served: List[KernelInstance] = []
-        now = self._sim.now
-        cus = self.cus
-        num_cus = len(cus)
-        profiler = self.profiler
-        wg_trace = (self.trace
-                    if self.trace is not None and self.trace.wg_events
-                    else None)
-        occ = self._occ
-        wavefront_size = self._wavefront_size
         # Same per-shape capacity memo (and reset-on-admission discipline)
         # as the scalar batched pump.
         shape_caps: dict = {}
         touched: List[ComputeUnit] = []
-        loads = occ.loads.tolist()
+        loads = self._occ.loads.tolist()
         while heap:
-            head = heappop(heap)
-            self.bucket_pops += 1
-            shape = head[1]
+            shape = heappop(heap)[1]
             entry = buckets[shape]
             index = entry[0]
             entries = entry[1]
@@ -792,104 +591,17 @@ class WGDispatcher:
                 continue
             caps = shape_caps.get(shape)
             if caps is None:
-                caps = occ.capacity(
-                    shape[0], desc.wavefronts_per_wg(wavefront_size),
-                    shape[1], shape[2], shape[3], shape[4]).tolist()
-                shape_caps[shape] = caps
+                caps = shape_caps[shape] = self._shape_capacity(shape, desc)
                 if not any(caps):
                     # Shape blocked: park the bucket (no re-push) until
                     # the next pump.
-                    self.bucket_parks += 1
                     continue
             want = kernel.wgs_pending
-            if want == 1:
-                best = -1
-                best_load = -1
-                for cu_index in range(num_cus):
-                    if caps[cu_index] > 0:
-                        load = loads[cu_index]
-                        if best < 0 or load < best_load:
-                            best = cu_index
-                            best_load = load
-                if best < 0:
-                    continue
-                cu = cus[best]
-                caps[best] -= 1
-                loads[best] += 1
-                cu.issue_wgs(kernel, 1)
-                if len(shape_caps) > 1:
-                    shape_caps = {shape: caps}
-                try:
-                    touched.remove(cu)
-                except ValueError:
-                    pass
-                touched.append(cu)
-                self.wgs_issued += 1
-                if profiler is not None:
-                    profiler.on_wgs_issued(kernel.name, 1, now)
-                if wg_trace is not None:
-                    wg_trace.emit(now, "wg_issue", job_id=kernel.job.job_id,
-                                  kernel=kernel.name, cu=cu.cu_id)
-                kernel.job.mark_running(now)
-                served.append(kernel)
-                # The single pending WG is issued: consume the head.
-                index += 1
-                entry[0] = index
-                if index < len(entries):
-                    heappush(heap, (entries[index][0], shape))
-                continue
-            assigned = [0] * num_cus
-            first_pick = [-1] * num_cus
-            last_pick = [-1] * num_cus
-            pick_order = [] if wg_trace is not None else None
-            issued = 0
-            while issued < want:
-                best = -1
-                best_load = -1
-                for cu_index in range(num_cus):
-                    if caps[cu_index] > 0:
-                        load = loads[cu_index]
-                        if best < 0 or load < best_load:
-                            best = cu_index
-                            best_load = load
-                if best < 0:
-                    break
-                caps[best] -= 1
-                loads[best] += 1
-                assigned[best] += 1
-                if first_pick[best] < 0:
-                    first_pick[best] = issued
-                last_pick[best] = issued
-                if pick_order is not None:
-                    pick_order.append(best)
-                issued += 1
+            issued = self._place(kernel, caps, loads, touched)
             if issued == 0:
                 continue
             if len(shape_caps) > 1:
                 shape_caps = {shape: caps}
-            chosen = [cu_index for cu_index in range(num_cus)
-                      if assigned[cu_index]]
-            chosen.sort(key=first_pick.__getitem__)
-            for cu_index in chosen:
-                cus[cu_index].issue_wgs(kernel, assigned[cu_index])
-            chosen.sort(key=last_pick.__getitem__)
-            for cu_index in chosen:
-                cu = cus[cu_index]
-                try:
-                    touched.remove(cu)
-                except ValueError:
-                    pass
-                touched.append(cu)
-            self.wgs_issued += issued
-            if profiler is not None:
-                profiler.on_wgs_issued(kernel.name, issued, now)
-            if wg_trace is not None:
-                job_id = kernel.job.job_id
-                name = kernel.name
-                for cu_index in pick_order:
-                    wg_trace.emit(now, "wg_issue", job_id=job_id,
-                                  kernel=name, cu=cus[cu_index].cu_id)
-            kernel.job.mark_running(now)
             served.append(kernel)
             if issued == want:
                 # Fully issued: consume the head.
@@ -905,11 +617,10 @@ class WGDispatcher:
             self._note_served(served)
 
     def _pump_batched_vec(self, pending: Sequence[KernelInstance]) -> None:
-        """Occupancy-array batched issue (``vectorized_mode``).
+        """Occupancy-array batched issue for policies with their own order.
 
-        Decision-for-decision equivalent to :meth:`_pump_batched` (which
-        is itself equivalent to the seed per-WG loop), with three
-        structural savings:
+        Makes :meth:`_pump_batched`'s decisions, with two structural
+        savings:
 
         * capacity vectors come from :meth:`CUOccupancyArrays.capacity` —
           the same integer floor-division algebra as
@@ -928,23 +639,8 @@ class WGDispatcher:
         Policies that override ``issue_order`` (RR, MLFQ, PREMA) take
         this path; the base-order policies take the standing bucketed
         merge (:meth:`_pump_bucketed_vec`) instead.
-
-        The placement loops are the scalar ones verbatim (Python lists —
-        integer work on 64 CUs beats numpy's per-op overhead); only
-        integer state is involved, so there is no float tolerance
-        anywhere on this path.
         """
-        served: List[KernelInstance] = []
-        now = self._sim.now
-        cus = self.cus
-        num_cus = len(cus)
         greedy = self._config.greedy_occupancy
-        profiler = self.profiler
-        wg_trace = (self.trace
-                    if self.trace is not None and self.trace.wg_events
-                    else None)
-        occ = self._occ
-        wavefront_size = self._wavefront_size
         infinity = math.inf
         # Pre-filter, memoized per (descriptor, backfill) so the common
         # case costs two dict probes per kernel.  Shapes are shared
@@ -977,12 +673,8 @@ class WGDispatcher:
                          backfill_only)
                 shapes[did] = shape
                 if shape not in shape_caps:
-                    caps = occ.capacity(
-                        desc.threads_per_wg,
-                        desc.wavefronts_per_wg(wavefront_size),
-                        desc.vgpr_bytes_per_wg, desc.lds_bytes_per_wg,
-                        desc.cu_concurrency, backfill_only).tolist()
-                    shape_caps[shape] = caps
+                    caps = shape_caps[shape] = self._shape_capacity(shape,
+                                                                    desc)
                     if any(caps):
                         live_shapes.add(shape)
                     else:
@@ -993,9 +685,10 @@ class WGDispatcher:
         if not feasible:
             return
         order = self._policy.issue_order(feasible)
+        served: List[KernelInstance] = []
         # Resident counts, carried across kernels (pump-local list; the
         # write-through keeps occ.loads equal after every issue_wgs).
-        loads = occ.loads.tolist()
+        loads = self._occ.loads.tolist()
         touched: List[ComputeUnit] = []
         for kernel in order:
             if not live_shapes:
@@ -1015,75 +708,13 @@ class WGDispatcher:
                 # Vector dropped by a reset below; occ reflects every
                 # admission so far, exactly like a fresh batch_capacity
                 # scan mid-pump.
-                caps = occ.capacity(
-                    shape[0], desc.wavefronts_per_wg(wavefront_size),
-                    shape[1], shape[2], shape[3], shape[4]).tolist()
-                shape_caps[shape] = caps
+                caps = shape_caps[shape] = self._shape_capacity(shape, desc)
                 if not any(caps):
                     blocked_shapes.add(shape)
                     live_shapes.discard(shape)
                     continue
             want = kernel.wgs_pending
-            if want == 1:
-                # Single-WG fast path: one least-loaded scan over the
-                # capacity vector.
-                best = -1
-                best_load = -1
-                for index in range(num_cus):
-                    if caps[index] > 0:
-                        load = loads[index]
-                        if best < 0 or load < best_load:
-                            best = index
-                            best_load = load
-                if best < 0:
-                    blocked_shapes.add(shape)
-                    live_shapes.discard(shape)
-                    continue
-                cu = cus[best]
-                caps[best] -= 1
-                loads[best] += 1
-                cu.issue_wgs(kernel, 1)
-                if len(shape_caps) > 1:
-                    shape_caps = {shape: caps}
-                try:
-                    touched.remove(cu)
-                except ValueError:
-                    pass
-                touched.append(cu)
-                self.wgs_issued += 1
-                if profiler is not None:
-                    profiler.on_wgs_issued(kernel.name, 1, now)
-                if wg_trace is not None:
-                    wg_trace.emit(now, "wg_issue", job_id=kernel.job.job_id,
-                                  kernel=kernel.name, cu=cu.cu_id)
-                kernel.job.mark_running(now)
-                served.append(kernel)
-                continue
-            assigned = [0] * num_cus
-            first_pick = [-1] * num_cus
-            last_pick = [-1] * num_cus
-            pick_order = [] if wg_trace is not None else None
-            issued = 0
-            while issued < want:
-                best = -1
-                best_load = -1
-                for index in range(num_cus):
-                    if caps[index] > 0:
-                        load = loads[index]
-                        if best < 0 or load < best_load:
-                            best = index
-                            best_load = load
-                if best < 0:
-                    break
-                caps[best] -= 1
-                loads[best] += 1
-                assigned[best] += 1
-                if first_pick[best] < 0:
-                    first_pick[best] = issued
-                last_pick[best] = issued
-                if pick_order is not None:
-                    pick_order.append(best)
-                issued += 1
+            issued = self._place(kernel, caps, loads, touched)
             if issued < want:
                 blocked_shapes.add(shape)
                 live_shapes.discard(shape)
@@ -1091,28 +722,6 @@ class WGDispatcher:
                 continue
             if len(shape_caps) > 1:
                 shape_caps = {shape: caps}
-            chosen = [index for index in range(num_cus) if assigned[index]]
-            chosen.sort(key=first_pick.__getitem__)
-            for index in chosen:
-                cus[index].issue_wgs(kernel, assigned[index])
-            chosen.sort(key=last_pick.__getitem__)
-            for index in chosen:
-                cu = cus[index]
-                try:
-                    touched.remove(cu)
-                except ValueError:
-                    pass
-                touched.append(cu)
-            self.wgs_issued += issued
-            if profiler is not None:
-                profiler.on_wgs_issued(kernel.name, issued, now)
-            if wg_trace is not None:
-                job_id = kernel.job.job_id
-                name = kernel.name
-                for index in pick_order:
-                    wg_trace.emit(now, "wg_issue", job_id=job_id,
-                                  kernel=name, cu=cus[index].cu_id)
-            kernel.job.mark_running(now)
             served.append(kernel)
         for cu in touched:
             cu.flush_issue()
@@ -1120,54 +729,17 @@ class WGDispatcher:
             self._note_served(served)
 
     def _note_served(self, served: List[KernelInstance]) -> None:
-        """Post-issue bookkeeping shared by every pump flavour.
+        """Post-issue bookkeeping shared by every pump.
 
         Kernels the pump drained completely leave the standing pending
-        set (see ``_pending_set``); partially issued ones stay.  Runs
-        unconditionally — the set is maintained in every mode so a
-        mid-run ``counted`` flip can never observe a stale view — and
-        ends with the policy's served hook, which every pump previously
-        called directly from this exact point.
+        set (see ``_pending_set``); partially issued ones stay.  Ends
+        with the policy's served hook.
         """
         pend = self._pending_set
         for kernel in served:
             if kernel.wgs_issued >= kernel.descriptor.num_wgs:
                 pend.pop(kernel, None)
         self._policy.on_kernels_served(served)
-
-    def _pump_per_wg(self, pending: Sequence[KernelInstance]) -> None:
-        """Seed issue loop: one full CU rescan and sync per WG.
-
-        Kept verbatim as the reference implementation — the engine
-        hot-path bench and the differential property suite run it against
-        :meth:`_pump_batched` to prove bit-identity.
-        """
-        served: List[KernelInstance] = []
-        now = self._sim.now
-        blocked_shapes = set()
-        for kernel in self._policy.issue_order(pending):
-            if id(kernel.descriptor) in blocked_shapes:
-                continue
-            issued_here = False
-            while kernel.wgs_pending > 0:
-                cu = self._pick_cu(kernel)
-                if cu is None:
-                    blocked_shapes.add(id(kernel.descriptor))
-                    break
-                cu.start_wg(kernel)
-                self.wgs_issued += 1
-                issued_here = True
-                if self.profiler is not None:
-                    self.profiler.on_wg_issued(kernel.name, now)
-                if self.trace is not None and self.trace.wg_events:
-                    self.trace.emit(now, "wg_issue",
-                                    job_id=kernel.job.job_id,
-                                    kernel=kernel.name, cu=cu.cu_id)
-            if issued_here:
-                kernel.job.mark_running(now)
-                served.append(kernel)
-        if served:
-            self._note_served(served)
 
     def _any_capacity(self, pending: Sequence[KernelInstance]) -> bool:
         """Cheap saturation check so no-op pumps exit early."""

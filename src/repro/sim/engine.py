@@ -19,40 +19,6 @@ the heap in place once cancelled entries outnumber live ones.  Compaction
 filters and re-heapifies; the (when, seq) total order is untouched, so
 firing order (and therefore every simulated result) is identical with or
 without it.
-
-**Event-core mode** (``Simulator.wheeled``; see :mod:`repro.sim.modes`)
-replaces the binary heap with a calendar-queue / timer-wheel hybrid
-tuned for the near-monotone timestamps of sustained arrival streams:
-
-* events hash into fixed-width time buckets (``when >> _BUCKET_SHIFT``),
-  kept as plain ``(when, seq, handle)`` tuple lists so every comparison
-  the structure ever performs is a C-level tuple compare — the seed
-  heap's per-sift Python ``EventHandle.__lt__`` calls disappear;
-* a small int-heap over the populated bucket indices is the "hours
-  hand" that finds the next non-empty bucket, so far-future timers
-  (diurnal-source rearm, long host sleeps) cost one bucket entry
-  instead of deepening every near-term heap operation;
-* the bucket that contains the clock is drained in sorted order with an
-  overflow heap for events scheduled into it mid-drain (delay-0 pumps,
-  parser latencies shorter than a bucket).
-
-The (when, seq) total order — including the negative-seq arrival lane,
-which sorts before device events at equal timestamps — is preserved
-exactly, so firing order and every simulated result are bit-identical
-to the heap.  The structure is chosen per-:class:`Simulator` at
-construction (flipping the class flag mid-run would strand queued
-events), matching how the mode context managers wrap whole runs.
-
-The run loop additionally keeps a **fused-continuation buffer**: call
-sites on the steady-state arrival path (stream inspection, kernel
-activation, the delay-0 dispatch pump) schedule through
-:meth:`Simulator.schedule_fusable`, and when such a continuation turns
-out to be the very next event in (when, seq) order, the loop executes
-it directly — same clock advance, same callback, same committed order —
-without the round-trip through the queue structure, without even an
-:class:`EventHandle`.  Coalesced continuations are tallied in
-``events_coalesced`` rather than ``events_fired``; their sum
-(``events_committed``) is invariant across modes.
 """
 
 from __future__ import annotations
@@ -60,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
 
@@ -111,29 +77,14 @@ _COMPACT_MIN_TOMBSTONES = 64
 #: lane can never collide with the device lane's non-negative counter.
 _ARRIVAL_SEQ_BASE = -(2 ** 62)
 
-#: Calendar-queue bucket width, as a power of two of clock ticks: events
-#: hash to bucket ``when >> _BUCKET_SHIFT``.  4096 ticks (~4 us at the
-#: ns-granularity clock) keeps sustained-cell buckets at a dozen-odd
-#: events — small enough that the sorted drain is effectively free,
-#: wide enough that parser/pump continuations land in the bucket that
-#: is already being drained.
-_BUCKET_SHIFT = 12
 
 class Simulator:
     """Event-driven simulator with an integer-nanosecond clock."""
 
-    #: Class-level engine-mode switch (see :mod:`repro.sim.modes`).
-    #: ``False`` restores the seed engine's behaviour — step()-driven run
-    #: loop, no heap compaction — for apples-to-apples benchmarking; the
-    #: simulated results are identical either way.
-    optimized = True
-
-    #: Event-core-mode switch (see :mod:`repro.sim.modes`): calendar-queue
-    #: event storage plus the fused-continuation run loop.  Sampled once
-    #: per Simulator at construction — the queue structure cannot change
-    #: under queued events — so, unlike ``optimized``, flipping the class
-    #: flag affects only simulators built afterwards.
-    wheeled = True
+    #: Events executed without a queue round-trip: none, every event
+    #: goes through the heap.  Kept as a constant so counter readers
+    #: (``benchmarks/layers``' ``engine.coalesced_frac``) still get 0.
+    events_coalesced = 0
 
     def __init__(self, max_time: Optional[int] = None) -> None:
         self._now = 0
@@ -146,34 +97,6 @@ class Simulator:
         self._pending = 0
         self._cancelled = 0
         self.max_time = max_time
-        # --- calendar-queue state (event-core mode; see module docstring).
-        # Entries are (when, seq, handle) tuples so every comparison is a
-        # C-level tuple compare.  ``_cur_idx`` is the bucket currently
-        # being drained (``_cur_sorted``/``_cur_pos``); events landing at
-        # or before it go through the ``_cur_extra`` overflow heap, future
-        # buckets live in ``_buckets`` keyed by index with ``_bucket_order``
-        # (an int-heap) as the hours hand.
-        self._use_wheel = bool(self.wheeled)
-        self._cur_idx = -1
-        self._cur_sorted: List[Tuple[int, int, EventHandle]] = []
-        self._cur_pos = 0
-        self._cur_extra: List[Tuple[int, int, EventHandle]] = []
-        self._buckets: Dict[int, List[Tuple[int, int, EventHandle]]] = {}
-        self._bucket_order: List[int] = []
-        # Smallest (when, seq) per future bucket, maintained on push and
-        # dropped when the bucket is promoted to the drain position.  Lets
-        # the fused run loop peek the true queue head without sorting a
-        # bucket — a cancelled entry can hold a bucket's min, which only
-        # costs a coalescing opportunity (the spill path is always safe).
-        self._bucket_mins: Dict[int, Tuple[int, int]] = {}
-        # Continuations buffered by schedule_fusable() inside _run_wheel():
-        # bare (when, seq, callback, args) tuples, never queued.
-        self._fuse_buf: List[Tuple[int, int, Callable[..., None], tuple]] = []
-        self._in_run = False
-        #: Continuations executed directly by the fused run loop, without
-        #: a round-trip through the event queue (disjoint from
-        #: ``events_fired``; see :attr:`events_committed`).
-        self.events_coalesced = 0
         #: Optional self-profiler (``record(callback, seconds)`` per
         #: executed event) — see :mod:`repro.telemetry.selfprof`.  None
         #: keeps the hot path to a single attribute check.
@@ -189,22 +112,17 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Events executed from the queue so far (for diagnostics).
-
-        Coalesced continuations do not count here — compare
-        :attr:`events_committed` across engine modes instead.
-        """
+        """Events executed so far (for diagnostics)."""
         return self._events_fired
 
     @property
     def events_committed(self) -> int:
-        """Total committed events: queue pops plus coalesced continuations.
+        """Total committed events: every executed event.
 
-        Invariant across engine modes — equal to ``events_fired`` of the
-        same run with the event-core flags off — which makes it the
-        right event count for cross-mode equivalence checks.
+        The event count the benchmark and the golden corpus record (the
+        same total :attr:`events_fired` reports).
         """
-        return self._events_fired + self.events_coalesced
+        return self._events_fired
 
     @property
     def pending_events(self) -> int:
@@ -216,12 +134,7 @@ class Simulator:
         self._pending -= 1
         self._cancelled += 1
         if (self._cancelled >= _COMPACT_MIN_TOMBSTONES
-                and self._cancelled * 2 > len(self._heap)
-                and self.optimized
-                # Calendar buckets self-clean as time advances; the heap
-                # compaction below would reset the tombstone counter
-                # without touching them.
-                and not self._use_wheel):
+                and self._cancelled * 2 > len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:
@@ -235,30 +148,6 @@ class Simulator:
         heapq.heapify(self._heap)
         self._cancelled = 0
 
-    def _wheel_push(self, when: int, seq: int, handle: EventHandle) -> None:
-        """Insert an entry into the calendar queue.
-
-        Entries at or before the bucket being drained go through the
-        overflow heap — it is merged against the sorted drain on every
-        pop, so an entry whose timestamp precedes the current bucket
-        (possible only via fused continuations firing at the tail of the
-        previous bucket) still sorts ahead of everything queued.
-        """
-        b = when >> _BUCKET_SHIFT
-        if b <= self._cur_idx:
-            heapq.heappush(self._cur_extra, (when, seq, handle))
-        else:
-            bucket = self._buckets.get(b)
-            if bucket is None:
-                self._buckets[b] = [(when, seq, handle)]
-                self._bucket_mins[b] = (when, seq)
-                heapq.heappush(self._bucket_order, b)
-            else:
-                bucket.append((when, seq, handle))
-                mins = self._bucket_mins
-                if (when, seq) < mins[b]:
-                    mins[b] = (when, seq)
-
     def schedule(self, delay: int, callback: Callable[..., None],
                  *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ticks from now."""
@@ -266,59 +155,11 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         # Inlined schedule_at (this is the timer hot path; delay >= 0
         # guarantees the when >= now precondition).
-        when = self._now + delay
-        seq = next(self._seq)
-        handle = EventHandle(when, seq, callback, args, self)
-        if self._use_wheel:
-            # Inlined _wheel_push: this is the timer re-arm hot path.
-            b = when >> _BUCKET_SHIFT
-            if b <= self._cur_idx:
-                heapq.heappush(self._cur_extra, (when, seq, handle))
-            else:
-                bucket = self._buckets.get(b)
-                if bucket is None:
-                    self._buckets[b] = [(when, seq, handle)]
-                    self._bucket_mins[b] = (when, seq)
-                    heapq.heappush(self._bucket_order, b)
-                else:
-                    bucket.append((when, seq, handle))
-                    mins = self._bucket_mins
-                    if (when, seq) < mins[b]:
-                        mins[b] = (when, seq)
-        else:
-            heapq.heappush(self._heap, handle)
+        handle = EventHandle(self._now + delay, next(self._seq), callback,
+                             args, self)
+        heapq.heappush(self._heap, handle)
         self._pending += 1
         return handle
-
-    def schedule_fusable(self, delay: int, callback: Callable[..., None],
-                         *args: Any) -> Optional[EventHandle]:
-        """:meth:`schedule`, with a continuation hint for the run loop.
-
-        Call sites that re-enter the engine at the tail of the current
-        handler (stream inspection, kernel activation, the delay-0
-        dispatch pump) use this instead of :meth:`schedule`.  Inside the
-        fused run loop the continuation is buffered as a bare
-        ``(when, seq, callback, args)`` tuple — no :class:`EventHandle`,
-        no queue traffic — and executed directly if it is still the
-        globally next event once the current handler returns (spilled
-        into the calendar queue otherwise).  Everywhere else — wheel
-        off, step()-driven sessions, ``run_until`` device slices,
-        validated or self-profiled runs — this is exactly
-        :meth:`schedule`.  The committed event sequence (firing order
-        and clock advance) is identical either way; coalesced
-        continuations count in :attr:`events_coalesced` instead of
-        ``events_fired`` (their sum, :attr:`events_committed`, is the
-        mode-invariant total), and no handle is returned for them —
-        fusable call sites never cancel.
-        """
-        if (not self._in_run or self.validator is not None
-                or self.profiler is not None):
-            return self.schedule(delay, callback, *args)
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._fuse_buf.append((self._now + delay, next(self._seq),
-                               callback, args))
-        return None
 
     def schedule_at(self, when: int, callback: Callable[..., None],
                     *args: Any) -> EventHandle:
@@ -326,12 +167,8 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when} before now={self._now}")
-        seq = next(self._seq)
-        handle = EventHandle(when, seq, callback, args, self)
-        if self._use_wheel:
-            self._wheel_push(when, seq, handle)
-        else:
-            heapq.heappush(self._heap, handle)
+        handle = EventHandle(when, next(self._seq), callback, args, self)
+        heapq.heappush(self._heap, handle)
         self._pending += 1
         return handle
 
@@ -351,82 +188,11 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when} before now={self._now}")
-        seq = next(self._arrival_seq)
-        handle = EventHandle(when, seq, callback, args, self)
-        if self._use_wheel:
-            self._wheel_push(when, seq, handle)
-        else:
-            heapq.heappush(self._heap, handle)
+        handle = EventHandle(when, next(self._arrival_seq), callback, args,
+                             self)
+        heapq.heappush(self._heap, handle)
         self._pending += 1
         return handle
-
-    def _wheel_peek(self) -> Optional[Tuple[int, int, EventHandle]]:
-        """Head entry of the calendar queue, tombstones skipped (and
-        reclaimed); ``None`` when the queue is empty.  May advance the
-        drain bucket, never removes a live entry."""
-        heappop = heapq.heappop
-        while True:
-            cur = self._cur_sorted
-            pos = self._cur_pos
-            extra = self._cur_extra
-            if pos < len(cur):
-                head = cur[pos]
-                if extra and extra[0] < head:
-                    head = extra[0]
-                    if head[2].cancelled:
-                        heappop(extra)
-                        self._cancelled -= 1
-                        continue
-                    return head
-                if head[2].cancelled:
-                    self._cur_pos = pos + 1
-                    self._cancelled -= 1
-                    continue
-                return head
-            if extra:
-                head = extra[0]
-                if head[2].cancelled:
-                    heappop(extra)
-                    self._cancelled -= 1
-                    continue
-                return head
-            order = self._bucket_order
-            if not order:
-                return None
-            b = heappop(order)
-            lst = self._buckets.pop(b)
-            del self._bucket_mins[b]
-            lst.sort()
-            self._cur_idx = b
-            self._cur_sorted = lst
-            self._cur_pos = 0
-
-    def _wheel_next(self) -> Optional[Tuple[int, int, EventHandle]]:
-        """Remove and return the head entry (live or not); ``None`` when
-        empty.  Tombstone reclamation is the caller's job, matching the
-        heap pop contract."""
-        cur = self._cur_sorted
-        pos = self._cur_pos
-        extra = self._cur_extra
-        if pos < len(cur):
-            head = cur[pos]
-            if extra and extra[0] < head:
-                return heapq.heappop(extra)
-            self._cur_pos = pos + 1
-            return head
-        if extra:
-            return heapq.heappop(extra)
-        order = self._bucket_order
-        if not order:
-            return None
-        b = heapq.heappop(order)
-        lst = self._buckets.pop(b)
-        del self._bucket_mins[b]
-        lst.sort()
-        self._cur_idx = b
-        self._cur_sorted = lst
-        self._cur_pos = 1
-        return lst[0]
 
     def step(self) -> bool:
         """Execute the next pending event.
@@ -434,74 +200,42 @@ class Simulator:
         Returns ``False`` when the queue is empty (the clock does not
         advance), ``True`` otherwise.
         """
-        if self._use_wheel:
-            return self._step_wheel()
         while self._heap:
             event = heapq.heappop(self._heap)
             if event.cancelled:
                 self._cancelled -= 1
                 continue
-            self._pending -= 1
-            if self.max_time is not None and event.when > self.max_time:
-                raise SimulationError(
-                    f"simulation exceeded max_time={self.max_time} ticks; "
-                    "the workload may be livelocked")
-            if self.validator is not None:
-                self.validator.on_event(event, self._now)
-            self._now = event.when
-            self._events_fired += 1
-            profiler = self.profiler
-            if profiler is None:
-                event.callback(*event.args)
-            else:
-                started = perf_counter()
-                event.callback(*event.args)
-                profiler.record(event.callback, perf_counter() - started)
+            self._fire(event)
             return True
         return False
 
-    def _step_wheel(self) -> bool:
-        """:meth:`step` over the calendar queue — identical semantics."""
-        while True:
-            entry = self._wheel_next()
-            if entry is None:
-                return False
-            event = entry[2]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._pending -= 1
-            if self.max_time is not None and event.when > self.max_time:
-                raise SimulationError(
-                    f"simulation exceeded max_time={self.max_time} ticks; "
-                    "the workload may be livelocked")
-            if self.validator is not None:
-                self.validator.on_event(event, self._now)
-            self._now = event.when
-            self._events_fired += 1
-            profiler = self.profiler
-            if profiler is None:
-                event.callback(*event.args)
-            else:
-                started = perf_counter()
-                event.callback(*event.args)
-                profiler.record(event.callback, perf_counter() - started)
-            return True
+    def _fire(self, event: EventHandle) -> None:
+        """Commit one popped live event (the body :meth:`run` inlines)."""
+        self._pending -= 1
+        if self.max_time is not None and event.when > self.max_time:
+            raise SimulationError(
+                f"simulation exceeded max_time={self.max_time} ticks; "
+                "the workload may be livelocked")
+        if self.validator is not None:
+            self.validator.on_event(event, self._now)
+        self._now = event.when
+        self._events_fired += 1
+        profiler = self.profiler
+        if profiler is None:
+            event.callback(*event.args)
+        else:
+            started = perf_counter()
+            event.callback(*event.args)
+            profiler.record(event.callback, perf_counter() - started)
 
     def run(self) -> int:
         """Run until no events remain; return the final time.
 
-        The hot loop inlines :meth:`step` (identical semantics, minus one
-        Python call frame per event — measurable at millions of events).
+        The hot loop inlines :meth:`step` (identical semantics, minus two
+        Python call frames per event — measurable at millions of events).
         ``self._heap`` is mutated in place by :meth:`_compact`, so the
         local binding stays valid across callbacks.
         """
-        if not self.optimized:
-            while self.step():
-                pass
-            return self._now
-        if self._use_wheel:
-            return self._run_wheel()
         heap = self._heap
         pop = heapq.heappop
         max_time = self.max_time
@@ -531,156 +265,12 @@ class Simulator:
                 profiler.record(event.callback, perf_counter() - started)
         return self._now
 
-    def _run_wheel(self) -> int:
-        """Inlined run loop over the calendar queue, with event fusion.
-
-        Pop/fire semantics match :meth:`step` exactly.  After each
-        handler returns, continuations it buffered via
-        :meth:`schedule_fusable` are executed directly while they remain
-        the globally next event in (when, seq) order; the first buffered
-        continuation that is preceded by a queued event spills the whole
-        buffer back into the calendar queue.  Either way every event
-        advances the clock, increments ``events_fired`` and passes
-        through the validator just as a queued pop would.
-        """
-        heappop = heapq.heappop
-        max_time = self.max_time
-        # Hoisted for the duration of this run(): both sinks are attached
-        # at system-build time, before any event fires.
-        validator = self.validator
-        profiler = self.profiler
-        fuse = self._fuse_buf
-        self._in_run = True
-        try:
-            while True:
-                # Inlined _wheel_next().
-                cur = self._cur_sorted
-                pos = self._cur_pos
-                extra = self._cur_extra
-                if pos < len(cur):
-                    entry = cur[pos]
-                    if extra and extra[0] < entry:
-                        entry = heappop(extra)
-                    else:
-                        self._cur_pos = pos + 1
-                elif extra:
-                    entry = heappop(extra)
-                else:
-                    order = self._bucket_order
-                    if not order:
-                        break
-                    b = heappop(order)
-                    lst = self._buckets.pop(b)
-                    del self._bucket_mins[b]
-                    lst.sort()
-                    self._cur_idx = b
-                    self._cur_sorted = lst
-                    self._cur_pos = 1
-                    entry = lst[0]
-                event = entry[2]
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self._pending -= 1
-                when = entry[0]
-                if max_time is not None and when > max_time:
-                    raise SimulationError(
-                        f"simulation exceeded max_time={max_time} ticks; "
-                        "the workload may be livelocked")
-                if validator is not None:
-                    validator.on_event(event, self._now)
-                self._now = when
-                self._events_fired += 1
-                if profiler is None:
-                    event.callback(*event.args)
-                else:
-                    started = perf_counter()
-                    event.callback(*event.args)
-                    profiler.record(event.callback, perf_counter() - started)
-                while fuse:
-                    if len(fuse) > 1:
-                        # (when, seq) prefixes are globally unique, so the
-                        # tuple sort never compares the callback fields.
-                        fuse.sort()
-                    cand = fuse[0]
-                    when_c = cand[0]
-                    seq_c = cand[1]
-                    # Conservative inline peek: a queued head (tombstoned
-                    # or not) that precedes the continuation forces a
-                    # spill; unsorted future buckets answer through their
-                    # maintained per-bucket min.  Pessimism (a cancelled
-                    # entry holding a head or a min) only costs a
-                    # coalescing opportunity — the spilled event fires
-                    # from the queue at the same (when, seq) position.
-                    cur = self._cur_sorted
-                    pos = self._cur_pos
-                    extra = self._cur_extra
-                    if pos < len(cur):
-                        head = cur[pos]
-                        if extra and extra[0] < head:
-                            head = extra[0]
-                        preceded = (head[0] < when_c
-                                    or (head[0] == when_c
-                                        and head[1] < seq_c))
-                    elif extra:
-                        head = extra[0]
-                        preceded = (head[0] < when_c
-                                    or (head[0] == when_c
-                                        and head[1] < seq_c))
-                    else:
-                        order = self._bucket_order
-                        if order:
-                            head = self._bucket_mins[order[0]]
-                            preceded = (head[0] < when_c
-                                        or (head[0] == when_c
-                                            and head[1] < seq_c))
-                        else:
-                            preceded = False
-                    if preceded:
-                        # A queued event may precede the continuation:
-                        # spill the buffer and resume normal popping.
-                        push = self._wheel_push
-                        for when_s, seq_s, cb_s, args_s in fuse:
-                            push(when_s, seq_s,
-                                 EventHandle(when_s, seq_s, cb_s, args_s,
-                                             self))
-                            self._pending += 1
-                        del fuse[:]
-                        break
-                    del fuse[0]
-                    if max_time is not None and when_c > max_time:
-                        raise SimulationError(
-                            f"simulation exceeded max_time={max_time} ticks; "
-                            "the workload may be livelocked")
-                    self._now = when_c
-                    self.events_coalesced += 1
-                    cand[2](*cand[3])
-        finally:
-            self._in_run = False
-            if fuse:
-                # Unwind path (callback raised): preserve pending events.
-                push = self._wheel_push
-                for when_s, seq_s, cb_s, args_s in fuse:
-                    push(when_s, seq_s,
-                         EventHandle(when_s, seq_s, cb_s, args_s, self))
-                    self._pending += 1
-                del fuse[:]
-        return self._now
-
     def run_until(self, when: int) -> int:
         """Run events up to and including time ``when``.
 
         The clock is left at ``when`` (or later if an event fired exactly
         there) so subsequent relative scheduling behaves intuitively.
         """
-        if self._use_wheel:
-            while True:
-                head = self._wheel_peek()
-                if head is None or head[0] > when:
-                    break
-                self._step_wheel()
-            self._now = max(self._now, when)
-            return self._now
         while self._heap:
             head = self._heap[0]
             if head.cancelled:
@@ -692,25 +282,6 @@ class Simulator:
             self.step()
         self._now = max(self._now, when)
         return self._now
-
-    def event_core_stats(self) -> dict:
-        """Event-core accounting for bench JSONs and run reports.
-
-        ``wheel_pops`` counts events that went through the calendar
-        queue, ``heap_pops`` those through the seed binary heap,
-        ``events_coalesced`` the fused continuations executed without
-        touching either; pops and coalesced sum to ``events_committed``,
-        the mode-invariant total.
-        """
-        fired = self._events_fired
-        return {
-            "wheeled": self._use_wheel,
-            "events_fired": fired,
-            "events_coalesced": self.events_coalesced,
-            "events_committed": fired + self.events_coalesced,
-            "wheel_pops": fired if self._use_wheel else 0,
-            "heap_pops": 0 if self._use_wheel else fired,
-        }
 
 
 class PeriodicTask:
@@ -739,15 +310,6 @@ class PeriodicTask:
         self.ticks_elided = 0
         #: Times the loop was (re)armed from idle by :meth:`ensure_running`.
         self.restarts = 0
-        #: Optional epoch gate (event-core mode): a callable consulted
-        #: while the task is active; returning ``True`` certifies that
-        #: running the callback now would change nothing observable, so
-        #: the tick re-arms without executing it.  The timer event itself
-        #: still fires every period — tick phase and the committed event
-        #: sequence are unchanged — only the callback body is skipped.
-        self.gate: Optional[Callable[[], bool]] = None
-        #: Ticks whose callback was skipped because the gate held.
-        self.ticks_gated = 0
 
     @property
     def running(self) -> bool:
@@ -770,11 +332,6 @@ class PeriodicTask:
         self._handle = None
         if not self._active():
             self.ticks_elided += 1
-            return
-        gate = self.gate
-        if gate is not None and gate():
-            self.ticks_gated += 1
-            self._handle = self._sim.schedule(self._period, self._tick)
             return
         self.ticks_fired += 1
         self._callback()

@@ -56,12 +56,8 @@ class Job:
         "queue_id", "start_time", "first_issue_time", "completion_time",
         "rejection_time", "user_priority", "priority", "tag",
         "released_kernels", "dependencies", "_next_cursor", "rank_version",
-        "retired", "pending_events", "reserve_counted",
+        "retired", "reserve_counted",
     )
-
-    #: Class-level engine-mode switch (see :mod:`repro.sim.modes`).
-    #: ``False`` restores the seed full-chain scan in ``ready_kernels``.
-    fast_ready = True
 
     def __init__(self, job_id: int, benchmark: str,
                  descriptors: Sequence[KernelDescriptor], arrival: int,
@@ -131,15 +127,8 @@ class Job:
         # ever advances).
         self._next_cursor = 0
         #: Whether :meth:`retire` released this job's kernel state (the
-        #: streaming-workload memory mode; see :mod:`repro.sim.modes`).
+        #: streaming-workload memory mode, ``GPUSystem(retire=True)``).
         self.retired = False
-        #: In-flight engine events holding a reference to this job or its
-        #: kernels (CP inspection, kernel activation, host commands).
-        #: Maintained only on the event-core fast path; the object pool
-        #: refuses to recycle a job while this is non-zero, so a stale
-        #: event can never observe a re-initialized incarnation (see
-        #: :mod:`repro.sim.job_pool`).
-        self.pending_events = 0
         #: Bumped whenever this job's remaining-work inputs change (a WG
         #: completes, or kernels are appended to the stream).  Preemption
         #: does *not* bump it: evicted WGs re-execute, so the WGList's
@@ -234,10 +223,10 @@ class Job:
         strictly in order, so a kernel's predecessor being done implies
         the whole prefix is done — the first not-done kernel is the only
         possible candidate, and it is ready exactly when it is released
-        and still QUEUED.  This returns the same list the full scan
-        builds (``Job.fast_ready = False`` restores the scan).
+        and still QUEUED — the same list the full scan (kept for DAG
+        jobs) builds.
         """
-        if Job.fast_ready and self.dependencies is None:
+        if self.dependencies is None:
             kernels = self.kernels
             cursor = self._next_cursor
             while cursor < len(kernels) and kernels[cursor].is_done:
@@ -376,46 +365,6 @@ class Job:
         self.dependencies = None
         self.released_kernels = 0
         self._next_cursor = 0
-
-    def rebind(self, job_id: int, benchmark: str,
-               descriptors: Sequence[KernelDescriptor], arrival: int,
-               deadline: Optional[int], user_priority: int = 0,
-               tag: Optional[str] = None) -> None:
-        """Re-initialize a recycled chain job (see :mod:`repro.sim.job_pool`).
-
-        Mirrors ``__init__`` field for field — a rebound job is
-        indistinguishable from a freshly constructed one — but reuses
-        this job's :class:`KernelInstance` objects instead of allocating
-        new ones.  The pool guarantees the kernel count matches and that
-        the job was parked terminal with no in-flight events; chain jobs
-        only (``dependencies`` stays None).
-        """
-        if deadline is not None and deadline <= 0:
-            raise WorkloadError(f"job {job_id} deadline must be positive")
-        if arrival < 0:
-            raise WorkloadError(f"job {job_id} arrival must be >= 0")
-        self.job_id = job_id
-        self.benchmark = benchmark
-        for index, desc in enumerate(descriptors):
-            self.kernels[index].__init__(desc, self, index)
-        self.arrival = arrival
-        self.deadline = deadline
-        self.state = JobState.INIT
-        self.queue_id = None
-        self.start_time = None
-        self.first_issue_time = None
-        self.completion_time = None
-        self.rejection_time = None
-        self.reserve_counted = 0
-        self.user_priority = user_priority
-        self.priority = 0.0
-        self.tag = tag
-        self.released_kernels = 0
-        self.dependencies = None
-        self._next_cursor = 0
-        self.retired = False
-        self.pending_events = 0
-        self.rank_version = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Job {self.job_id} {self.benchmark} {self.state.value} "

@@ -67,14 +67,6 @@ class ComputeQueue:
 class QueuePool:
     """Allocator for the device's fixed set of compute queues."""
 
-    #: Event-core-mode switch (see :mod:`repro.sim.modes`): cache the
-    #: :meth:`live_jobs` list between bind/release transitions.  The
-    #: admission path reads the live set several times per arrival, and
-    #: each uncached read scans all 128 queues; the cached list is the
-    #: same jobs in the same queue-id order.  Callers must treat the
-    #: returned list as read-only (every in-repo caller only iterates).
-    live_cache = True
-
     def __init__(self, num_queues: int) -> None:
         if num_queues <= 0:
             raise SimulationError("QueuePool needs at least one queue")
@@ -84,8 +76,9 @@ class QueuePool:
         self._free: Deque[int] = deque(range(num_queues))
         self._by_job: Dict[int, ComputeQueue] = {}
         self.backlog: Deque[Job] = deque()
-        #: Cached live list (invalidated on every bind/release, kept
-        #: regardless of the flag so mid-run flips stay correct).
+        #: Cached :meth:`live_jobs` list, invalidated on every
+        #: bind/release.  The admission path reads the live set several
+        #: times per arrival, and each uncached read scans all queues.
         self._live: Optional[List[Job]] = None
 
     @property
@@ -99,14 +92,15 @@ class QueuePool:
         return len(self._by_job)
 
     def live_jobs(self) -> List[Job]:
-        """Jobs currently bound to queues, in queue-id order."""
-        if QueuePool.live_cache:
-            live = self._live
-            if live is None:
-                live = self._live = [q.job for q in self.queues
-                                     if q.job is not None]
-            return live
-        return [q.job for q in self.queues if q.job is not None]
+        """Jobs currently bound to queues, in queue-id order.
+
+        The cached list itself: callers must treat it as read-only.
+        """
+        live = self._live
+        if live is None:
+            live = self._live = [q.job for q in self.queues
+                                 if q.job is not None]
+        return live
 
     def try_bind(self, job: Job) -> Optional[ComputeQueue]:
         """Bind ``job`` to a free queue, or park it in the backlog.

@@ -294,32 +294,20 @@ def render_markdown(report: Dict[str, object]) -> str:
                 f"{stats['seconds']:.4f} | {stats['mean_us']:.1f} |")
         lines.append("")
 
-    # Bundles written before the event core existed lack the key; the
-    # section simply does not render for them.
+    # Bundles written without engine counters lack the key; the section
+    # simply does not render for them.  Keys beyond the two rendered
+    # below (older bundles carry more) are ignored.
     event_core = (report.get("diagnostics") or {}).get("event_core")
     if event_core:
         lines.append("## Event core")
         lines.append("")
-        engine = ("calendar queue" if event_core.get("wheeled")
-                  else "binary heap")
-        lines.append(
-            f"- engine: {engine}; "
-            f"{event_core.get('events_committed', 0)} committed events "
-            f"({event_core.get('events_fired', 0)} fired, "
-            f"{event_core.get('events_coalesced', 0)} coalesced)")
-        lines.append(f"- pops: {event_core.get('wheel_pops', 0)} wheel, "
-                     f"{event_core.get('heap_pops', 0)} heap")
+        lines.append(f"- {event_core.get('events_committed', 0)} "
+                     f"committed events")
         if "periodic_ticks_elided" in event_core:
             lines.append(
                 f"- periodic ticks: "
                 f"{event_core.get('periodic_ticks_fired', 0)} fired, "
                 f"{event_core['periodic_ticks_elided']} elided")
-        pool = event_core.get("job_pool")
-        if pool:
-            lines.append(
-                f"- job pool: enabled={pool.get('enabled')}; "
-                f"{pool.get('hits', 0)} hits, {pool.get('misses', 0)} "
-                f"misses, {pool.get('recycled', 0)} recycled")
         lines.append("")
 
     windows = report.get("windows")

@@ -10,17 +10,12 @@ The layers, each usable alone:
   registered scheduler must pass, plus per-policy contracts;
 * :mod:`repro.validation.router` — the cluster tier's conservation
   audit: every arrival routed to exactly one device lane (or rejected
-  at the router) and observed by exactly that device;
-* :mod:`repro.validation.equivalence` — structured A/B equivalence
-  assertions for the differential benchmarks (bit-identity by default,
-  documented tolerance otherwise, JSON-ready records either way).
+  at the router) and observed by exactly that device.
 
 ``lax-sim --validate`` attaches the checker and runs the oracle sweep;
 ``tests/test_conformance.py`` drives the battery in CI.
 """
 
-from .equivalence import (EquivalenceError, EquivalenceLog,
-                          EquivalenceRecord, assert_equivalent)
 from .invariants import FLOAT_TOLERANCE, InvariantChecker, InvariantViolation
 from .oracles import (LatencyBand, UtilizationAudit, WorkLedger, audit_run,
                       erlang_c, fits_fully_resident, mdc_mean_wait,
@@ -32,10 +27,6 @@ from .conformance import (POLICY_CONTRACTS, SCENARIOS, ScenarioOutcome,
 from .router import audit_routing
 
 __all__ = [
-    "EquivalenceError",
-    "EquivalenceLog",
-    "EquivalenceRecord",
-    "assert_equivalent",
     "FLOAT_TOLERANCE",
     "InvariantChecker",
     "InvariantViolation",

@@ -7,8 +7,8 @@ which caps run length at whatever fits in memory.  The sources here are
 :meth:`~repro.sim.device.GPUSystem.submit_stream` run holds only the
 in-flight jobs (plus the feeder's look-ahead window) no matter how many
 flow through.  Combined with job retirement
-(:mod:`repro.sim.modes`) this is the O(live) memory model ROADMAP item 1
-calls for — the substrate for million-job soak runs.
+(``GPUSystem(retire=True)``) this is the O(live) memory model behind
+million-job soak runs.
 
 Three arrival curves, all integer-tick and seed-deterministic:
 
@@ -50,7 +50,6 @@ import numpy as np
 
 from ..config import GPUConfig
 from ..errors import WorkloadError
-from ..sim import job_pool
 from ..sim.job import Job
 from ..sim.kernel import KernelDescriptor
 from ..units import SEC, US
@@ -78,15 +77,9 @@ class JobTemplate:
     user_priority: int = 0
 
     def build(self, job_id: int, arrival: int) -> Job:
-        """Materialize one job of this shape.
-
-        Routed through :mod:`repro.sim.job_pool` so event-core runs with
-        retirement reuse parked Job/KernelInstance objects; with the pool
-        disabled this is exactly the seed ``Job(...)`` construction.
-        """
-        return job_pool.build_job(
-            job_id, self.benchmark, list(self.descriptors), arrival,
-            self.deadline, self.user_priority, self.tag)
+        """Materialize one job of this shape."""
+        return Job(job_id, self.benchmark, list(self.descriptors), arrival,
+                   self.deadline, self.user_priority, self.tag)
 
 
 class ArrivalSource:

@@ -67,22 +67,6 @@ def config() -> SimConfig:
 
 
 @pytest.fixture(autouse=True)
-def _empty_job_pool():
-    """Start (and leave) every test with an empty recycling pool.
-
-    Jobs parked by one test would otherwise be handed back — rebound in
-    place — to the next test's template builds.  That aliasing is benign
-    for the simulation (a rebound job is field-identical to a fresh one)
-    but surprising for tests holding references to the earlier objects,
-    and it makes pool accounting non-deterministic across test orders.
-    """
-    from repro.sim import job_pool
-    job_pool.clear()
-    yield
-    job_pool.clear()
-
-
-@pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path, monkeypatch):
     """Point the persistent result cache at a per-test directory.
 

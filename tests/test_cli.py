@@ -90,7 +90,7 @@ class TestTelemetryModes:
 
 
 class TestEventCoreReport:
-    """``lax-sim report`` surfaces the event-core counters (PR 10)."""
+    """``lax-sim report`` surfaces the engine counters."""
 
     def test_stream_report_includes_event_core_section(self, capsys):
         code = main(["report", "--benchmark", "SUSTAINED",
@@ -99,7 +99,7 @@ class TestEventCoreReport:
         out = capsys.readouterr().out
         assert "## Event core" in out
         assert "committed events" in out
-        assert "job pool" in out
+        assert "periodic ticks" in out
 
     def test_from_bundle_surfaces_counters(self, tmp_path, capsys):
         bundle = str(tmp_path / "bundle")
@@ -114,8 +114,8 @@ class TestEventCoreReport:
 
     def test_older_bundle_without_counters_renders_clean(self, tmp_path,
                                                          capsys):
-        """Bundles written before the event core existed lack the key;
-        the renderer must skip the section, not crash."""
+        """Bundles written without engine counters lack the key; the
+        renderer must skip the section, not crash."""
         import json
         import os
 

@@ -5,7 +5,7 @@ The load-bearing properties:
 * **N=1 identity** — a single-device cluster behind the pass-through
   router is bit-identical to a bare ``GPUSystem`` run (outcomes,
   admission counters, WG traces, engine clocks), on both the finite
-  and the streamed path, in both engine modes;
+  and the streamed path, with and without job retirement;
 * **determinism** — re-running the same fleet spec is bit-identical,
   and per-device seeds follow the documented spawn scheme (device
   ``i``'s seed never depends on the fleet size);
@@ -28,7 +28,6 @@ from repro.errors import ConfigError, SimulationError
 from repro.schedulers.registry import make_scheduler
 from repro.sim import Device
 from repro.sim.device import GPUSystem
-from repro.sim.modes import engine_mode
 from repro.telemetry import TelemetryHub
 from repro.workloads.streaming import (SUSTAINED_RATES, build_sustained_jobs,
                                        sustained_fleet_source,
@@ -109,38 +108,34 @@ class TestDeviceProtocol:
 class TestPassThroughIdentity:
     """N=1 + pass-through == bare GPUSystem, bit for bit."""
 
-    @pytest.mark.parametrize("optimized", (False, True))
-    def test_finite_path_bit_identical(self, optimized):
-        with engine_mode(optimized):
-            jobs = build_sustained_jobs(120, RATE, 1, SimConfig().gpu)
-            bare = GPUSystem(make_scheduler("LAX"), SimConfig(),
-                             retire=False)
-            bare.submit_workload(jobs)
-            bare_sig = _device_signature(bare, bare.run())
+    @pytest.mark.parametrize("retire", (False, True))
+    def test_finite_path_bit_identical(self, retire):
+        jobs = build_sustained_jobs(120, RATE, 1, SimConfig().gpu)
+        bare = GPUSystem(make_scheduler("LAX"), SimConfig(), retire=retire)
+        bare.submit_workload(jobs)
+        bare_sig = _device_signature(bare, bare.run())
 
-            fleet = ClusterSystem("LAX", SimConfig(), num_devices=1,
-                                  router="pass-through", retire=False)
-            fleet.submit_workload(
-                build_sustained_jobs(120, RATE, 1, SimConfig().gpu))
-            metrics = fleet.run()
-            fleet_sig = _device_signature(fleet.devices[0],
-                                          metrics.per_device[0])
+        fleet = ClusterSystem("LAX", SimConfig(), num_devices=1,
+                              router="pass-through", retire=retire)
+        fleet.submit_workload(
+            build_sustained_jobs(120, RATE, 1, SimConfig().gpu))
+        metrics = fleet.run()
+        fleet_sig = _device_signature(fleet.devices[0],
+                                      metrics.per_device[0])
         assert fleet_sig == bare_sig
 
-    @pytest.mark.parametrize("optimized", (False, True))
-    def test_streamed_path_bit_identical(self, optimized):
-        with engine_mode(optimized):
-            bare = GPUSystem(make_scheduler("LAX"), SimConfig(),
-                             retire=False)
-            bare.submit_stream(sustained_source(RATE).jobs(), max_jobs=120)
-            bare_sig = _device_signature(bare, bare.run())
+    @pytest.mark.parametrize("retire", (False, True))
+    def test_streamed_path_bit_identical(self, retire):
+        bare = GPUSystem(make_scheduler("LAX"), SimConfig(), retire=retire)
+        bare.submit_stream(sustained_source(RATE).jobs(), max_jobs=120)
+        bare_sig = _device_signature(bare, bare.run())
 
-            fleet = ClusterSystem("LAX", SimConfig(), num_devices=1,
-                                  router="pass-through", retire=False)
-            fleet.submit_stream(sustained_source(RATE), max_jobs=120)
-            metrics = fleet.run()
-            fleet_sig = _device_signature(fleet.devices[0],
-                                          metrics.per_device[0])
+        fleet = ClusterSystem("LAX", SimConfig(), num_devices=1,
+                              router="pass-through", retire=retire)
+        fleet.submit_stream(sustained_source(RATE), max_jobs=120)
+        metrics = fleet.run()
+        fleet_sig = _device_signature(fleet.devices[0],
+                                      metrics.per_device[0])
         assert fleet_sig == bare_sig
 
     def test_wg_traces_identical(self, tmp_path):

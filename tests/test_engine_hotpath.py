@@ -1,127 +1,35 @@
-"""Differential tests: the optimized engine is bit-identical to the seed.
+"""Engine hot paths: batched issue, grouped processor sharing, the heap.
 
-Every PR-4 hot-path rewrite keeps its seed implementation behind an
-engine-mode flag (:mod:`repro.sim.modes`), which makes the bit-identity
-claim directly testable.  Four families:
+The engine keeps one path per component; the golden corpus
+(``tests/test_golden_corpus.py``) pins whole-system decisions.  This
+module checks the mechanisms underneath it:
 
-* **Whole-system differential** — random workloads through every
-  registered scheduler run once per engine mode with full WG-level
-  tracing; the metrics, the event count, the final clock and the complete
-  trace-event sequence (including per-WG CU placements) must be equal.
-* **Component twins** — a pair of compute units (or profiling tables, or
-  jobs) driven through the same residency sequence, one per mode; float
-  state and timer event times must match exactly.
+* **Compute-unit pins** — a CU driven through a heterogeneous residency
+  timeline reproduces the completion times and lane time a per-WG
+  processor-sharing evaluation produced, and ``issue_wgs`` +
+  ``flush_issue`` equals a ``start_wg`` loop.
 * **Batch-capacity algebra** — ``batch_capacity`` must equal the number
   of consecutive ``can_accept``/``start_wg`` rounds that succeed.
-* **Event-heap bookkeeping** — the O(1) ``pending_events`` counter always
-  agrees with a heap scan, and compaction shrinks the heap without
-  reordering a single surviving event.
+* **Event heap** — firing order matches an in-test ``(when, seq)``
+  oracle (including the negative-seq arrival lane), the O(1)
+  ``pending_events`` counter always agrees with a heap scan, and
+  compaction shrinks the heap without reordering a surviving event.
+* **Ready cursor** — a chain job's O(1) cursor returns what the full
+  ready scan returns; DAG jobs take the scan.
 """
 
-import dataclasses
-
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SimConfig
-from repro.core import laxity
 from repro.core.profiling import KernelProfilingTable
-from repro.schedulers.registry import make_scheduler
-from repro.sim import (engine_mode, event_core_mode, get_engine_mode,
-                       set_engine_mode)
 from repro.sim.compute_unit import ComputeUnit
-from repro.sim.device import GPUSystem
-from repro.sim.dispatcher import WGDispatcher
 from repro.sim.energy import EnergyMeter
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.job import Job
-from repro.sim.trace import TraceRecorder
+from repro.sim.kernel import KernelPhase
 from repro.units import US
-from repro.workloads.registry import build_workload
 
 from conftest import make_descriptor, make_job
-from strategies import scheduler_names, workloads
-from test_figure3_scenario import (GOLDEN_COMPLETIONS, GOLDEN_TOLERANCE,
-                                   run_figure3)
-
-
-def rebuild(template):
-    """Fresh Job objects from a (possibly already-run) template workload."""
-    return [Job(job_id=j.job_id, benchmark=j.benchmark,
-                descriptors=[k.descriptor for k in j.kernels],
-                arrival=j.arrival, deadline=j.deadline,
-                user_priority=j.user_priority,
-                dependencies=j.dependencies)
-            for j in template]
-
-
-def run_traced(template, scheduler, optimized):
-    """One full run under the given engine mode, with WG-level tracing."""
-    with engine_mode(optimized):
-        trace = TraceRecorder(wg_events=True)
-        system = GPUSystem(make_scheduler(scheduler), SimConfig(),
-                           trace=trace)
-        system.submit_workload(rebuild(template))
-        metrics = system.run()
-    return (dataclasses.asdict(metrics), trace.events,
-            system.sim.events_committed, system.sim.now)
-
-
-class TestEngineModeSwitch:
-    def test_flags_flip_together_and_restore(self):
-        assert get_engine_mode()
-        with engine_mode(False):
-            assert not get_engine_mode()
-            assert Simulator.optimized is False
-            assert ComputeUnit.grouped is False
-            assert WGDispatcher.batched is False
-            assert Job.fast_ready is False
-            assert laxity.MEMOIZED is False
-            assert laxity.EPOCH_GATED is False
-        assert get_engine_mode()
-        assert Simulator.optimized is True
-        assert laxity.EPOCH_GATED is True
-
-    def test_context_restores_mixed_flags(self):
-        set_engine_mode(True)
-        Job.fast_ready = False
-        try:
-            with engine_mode(True):
-                assert Job.fast_ready is True
-            assert Job.fast_ready is False
-            assert not get_engine_mode()
-        finally:
-            set_engine_mode(True)
-
-
-class TestWholeSystemDifferential:
-    """Optimized vs seed engine: event-for-event identical runs."""
-
-    @given(jobs=workloads(max_jobs=5), scheduler=scheduler_names)
-    def test_random_workloads_bit_identical(self, jobs, scheduler):
-        fast = run_traced(jobs, scheduler, optimized=True)
-        seed = run_traced(jobs, scheduler, optimized=False)
-        assert fast[0] == seed[0]          # metrics, per-job outcomes
-        assert fast[1] == seed[1]          # full trace incl. WG placements
-        assert fast[2] == seed[2]          # committed events
-        assert fast[3] == seed[3]          # final clock
-
-    def test_reference_cell_bit_identical(self):
-        gpu = SimConfig().gpu
-        jobs = build_workload("LSTM", "high", num_jobs=16, seed=7, gpu=gpu)
-        fast = run_traced(jobs, "LAX", optimized=True)
-        seed = run_traced(jobs, "LAX", optimized=False)
-        assert fast == seed
-
-    def test_seed_engine_matches_figure3_golden_pins(self):
-        """The legacy mode reproduces the pinned Figure-3 timeline too."""
-        with engine_mode(False):
-            for scheduler, kwargs in (("LAX", {"enable_admission": False}),
-                                      ("SJF", {})):
-                outcomes = run_figure3(scheduler, **kwargs)
-                for job_id, expected in GOLDEN_COMPLETIONS[scheduler].items():
-                    actual = outcomes[job_id].completion
-                    assert abs(actual - expected) <= GOLDEN_TOLERANCE, (
-                        scheduler, job_id)
 
 
 # ----------------------------------------------------------------------
@@ -160,33 +68,43 @@ _MIX = (
 )
 
 
-def run_mix_sequence(optimized):
+#: ``run_mix_sequence()`` as a per-WG processor-sharing evaluation (one
+#: ``dt * min(1, c / n)`` and one ``remaining / rate`` per resident WG)
+#: computed it: (kernel, index, completion tick) per WG, lane time,
+#: final clock, events fired.
+_MIX_PER_WG = (
+    [("b", 0, 11500)] * 4 + [("a", 0, 16945)] * 3
+    + [("d", 0, 20834)] * 2 + [("c", 0, 20890)] * 2,
+    86003.12698412698, 20890, 4)
+
+
+def run_mix_sequence():
     """Drive one CU through a heterogeneous residency timeline."""
-    with engine_mode(optimized):
-        completions = []
-        sim, cu = make_cu(completions)
-        kernels = [active_kernel(
-            make_descriptor(name=name, num_wgs=wgs, wg_work=work,
-                            cu_concurrency=conc), job_id=i)
-            for i, (name, conc, work, wgs) in enumerate(_MIX)]
-        for _ in range(3):
-            cu.start_wg(kernels[0])
-        sim.run_until(4 * US)             # partial progress at mixed rates
-        for _ in range(4):
-            cu.start_wg(kernels[1])
-        for _ in range(2):
-            cu.start_wg(kernels[2])
-        sim.run_until(6 * US)
-        for _ in range(2):
-            cu.start_wg(kernels[3])
-        sim.run()
+    completions = []
+    sim, cu = make_cu(completions)
+    kernels = [active_kernel(
+        make_descriptor(name=name, num_wgs=wgs, wg_work=work,
+                        cu_concurrency=conc), job_id=i)
+        for i, (name, conc, work, wgs) in enumerate(_MIX)]
+    for _ in range(3):
+        cu.start_wg(kernels[0])
+    sim.run_until(4 * US)             # partial progress at mixed rates
+    for _ in range(4):
+        cu.start_wg(kernels[1])
+    for _ in range(2):
+        cu.start_wg(kernels[2])
+    sim.run_until(6 * US)
+    for _ in range(2):
+        cu.start_wg(kernels[3])
+    sim.run()
     return completions, cu.work_done, sim.now, sim.events_fired
 
 
 class TestComputeUnitTwins:
     def test_grouped_math_bit_identical_to_per_wg(self):
-        assert run_mix_sequence(optimized=True) == run_mix_sequence(
-            optimized=False)
+        """Run-length grouped sync/min-scan reproduces the per-WG
+        evaluation's floats exactly (pinned above)."""
+        assert run_mix_sequence() == _MIX_PER_WG
 
     def test_issue_wgs_matches_start_wg_loop(self):
         desc = make_descriptor(name="batch", num_wgs=8, cu_concurrency=4,
@@ -265,18 +183,73 @@ class TestBatchCapacity:
 # ----------------------------------------------------------------------
 
 def live_heap_count(sim):
-    """Live (non-cancelled) events across the engine's storage: the
-    binary heap plus, under the event-core calendar queue, the current
-    bucket's overflow heap and the future buckets."""
-    entries = list(sim._heap)
-    entries += [handle for _, _, handle in sim._cur_sorted[sim._cur_pos:]]
-    entries += [handle for _, _, handle in sim._cur_extra]
-    for bucket in sim._buckets.values():
-        entries += [handle for _, _, handle in bucket]
-    return sum(1 for event in entries if not event.cancelled)
+    """Live (non-cancelled) events in the engine's heap."""
+    return sum(1 for event in sim._heap if not event.cancelled)
+
+
+def fire_plan(plan, cancel=()):
+    """Fire ``plan`` on one simulator; return the observed order.
+
+    ``plan`` is a list of (when, lane) with lane "arrival" riding
+    :meth:`Simulator.schedule_arrival` and lane "device" riding
+    :meth:`Simulator.schedule_at`; entries whose plan index is in
+    ``cancel`` are cancelled before the run.
+    """
+    sim = Simulator()
+    fired = []
+    handles = []
+    for index, (when, lane) in enumerate(plan):
+        schedule = (sim.schedule_arrival if lane == "arrival"
+                    else sim.schedule_at)
+        handles.append(schedule(when, fired.append, (lane, when, index)))
+    for index in cancel:
+        handles[index].cancel()
+    sim.run()
+    return fired
+
+
+def oracle_order(plan, cancel=()):
+    """The (when, seq) total order: by time; at a tie every arrival
+    before every device event; within a lane, scheduling order."""
+    survivors = [(when, lane != "arrival", index, lane)
+                 for index, (when, lane) in enumerate(plan)
+                 if index not in cancel]
+    return [(lane, when, index)
+            for when, _, index, lane in sorted(survivors)]
 
 
 class TestEventHeap:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3 * 4096),
+                  st.sampled_from(["arrival", "device"])),
+        min_size=1, max_size=80),
+        st.sets(st.integers(min_value=0, max_value=79)))
+    def test_firing_order_matches_when_seq_oracle(self, plan, cancel):
+        """Any schedule, with any subset cancelled (enough tombstones to
+        trigger compaction on the larger plans), fires in (when, seq)
+        order."""
+        cancel = {index for index in cancel if index < len(plan)}
+        assert fire_plan(plan, cancel) == oracle_order(plan, cancel)
+
+    def test_arrival_lane_precedes_device_events_at_tied_ticks(self):
+        """The negative-seq arrival lane wins every same-tick tie, even
+        when the device event was scheduled first (streamed lookahead=1
+        delivers arrivals from inside handlers, so this ordering is what
+        makes streamed == finite)."""
+        fired = fire_plan([(5, "device"), (5, "arrival"), (5, "device"),
+                           (5, "arrival")])
+        assert [lane for lane, _, _ in fired] == [
+            "arrival", "arrival", "device", "device"]
+
+    def test_compaction_keeps_order_across_ties(self):
+        """Heavy cancellation compacts the heap mid-schedule; survivors
+        at tied timestamps still fire arrival-lane first, then FIFO."""
+        plan = [(when % 7, "arrival" if when % 3 == 0 else "device")
+                for when in range(400)]
+        cancel = set(range(0, 400, 2)) | set(range(1, 200, 4))
+        assert fire_plan(plan, cancel) == oracle_order(plan, cancel)
+
     def test_pending_events_matches_heap_scan(self):
         sim = Simulator()
         handles = [sim.schedule((i * 7) % 13, lambda: None)
@@ -293,33 +266,16 @@ class TestEventHeap:
         assert sim.pending_events == live_heap_count(sim) == 0
 
     def test_compaction_shrinks_heap_and_preserves_order(self):
-        # Compaction is a binary-heap behaviour; the event-core calendar
-        # queue skips tombstones lazily at pop instead, so pin the heap
-        # storage explicitly.
-        with engine_mode(True), event_core_mode(False):
-            sim = Simulator()
-            fired = []
-            handles = [sim.schedule(delay, fired.append, delay)
-                       for delay in range(1, 301)]
-            for handle in handles[:200]:
-                handle.cancel()
-            # 200 of 300 tombstoned: compaction must have kicked in.
-            assert len(sim._heap) < 300
-            assert sim.pending_events == live_heap_count(sim) == 100
-            sim.run()
-        assert fired == list(range(201, 301))
-
-    def test_seed_mode_keeps_tombstones_but_same_results(self):
-        with engine_mode(False):
-            sim = Simulator()
-            fired = []
-            handles = [sim.schedule(delay, fired.append, delay)
-                       for delay in range(1, 301)]
-            for handle in handles[:200]:
-                handle.cancel()
-            assert len(sim._heap) == 300   # no compaction in seed mode
-            assert sim.pending_events == live_heap_count(sim) == 100
-            sim.run()
+        sim = Simulator()
+        fired = []
+        handles = [sim.schedule(delay, fired.append, delay)
+                   for delay in range(1, 301)]
+        for handle in handles[:200]:
+            handle.cancel()
+        # 200 of 300 tombstoned: compaction must have kicked in.
+        assert len(sim._heap) < 300
+        assert sim.pending_events == live_heap_count(sim) == 100
+        sim.run()
         assert fired == list(range(201, 301))
 
     def test_run_until_drains_tombstones_consistently(self):
@@ -346,9 +302,11 @@ class TestEventHeap:
 # Job ready-cursor and profiler batch hook
 # ----------------------------------------------------------------------
 
-def ready_in_mode(job, optimized):
-    with engine_mode(optimized):
-        return job.ready_kernels()
+def scanned_ready(job):
+    """The full ready scan: released, QUEUED, every prerequisite done."""
+    return [kernel for kernel in job.kernels[:job.released_kernels]
+            if kernel.phase is KernelPhase.QUEUED
+            and job.dependencies_met(kernel)]
 
 
 def drain_kernel(kernel):
@@ -361,32 +319,30 @@ def drain_kernel(kernel):
 class TestFastReadyCursor:
     def test_chain_job_matches_scan_at_every_stage(self):
         job = make_job(descriptors=[make_descriptor(num_wgs=2)] * 3)
-        assert ready_in_mode(job, True) == ready_in_mode(job, False) == []
+        assert job.ready_kernels() == scanned_ready(job) == []
         job.released_kernels = 2
-        assert (ready_in_mode(job, True) == ready_in_mode(job, False)
-                == [job.kernels[0]])
+        assert job.ready_kernels() == scanned_ready(job) == [job.kernels[0]]
         job.kernels[0].mark_active(0)
-        assert ready_in_mode(job, True) == ready_in_mode(job, False) == []
+        assert job.ready_kernels() == scanned_ready(job) == []
         drain_kernel(job.kernels[0])
-        assert (ready_in_mode(job, True) == ready_in_mode(job, False)
-                == [job.kernels[1]])
+        assert job.ready_kernels() == scanned_ready(job) == [job.kernels[1]]
         job.kernels[1].mark_active(0)
         drain_kernel(job.kernels[1])
         # Kernel 2 is done but not yet released: neither path returns it.
-        assert ready_in_mode(job, True) == ready_in_mode(job, False) == []
+        assert job.ready_kernels() == scanned_ready(job) == []
         job.released_kernels = 3
-        assert (ready_in_mode(job, True) == ready_in_mode(job, False)
-                == [job.kernels[2]])
+        assert job.ready_kernels() == scanned_ready(job) == [job.kernels[2]]
 
-    def test_dag_job_uses_the_full_scan_in_both_modes(self):
+    def test_dag_job_uses_the_full_scan(self):
         job = Job(job_id=0, benchmark="DAG",
                   descriptors=[make_descriptor(num_wgs=2)] * 3,
                   arrival=0, deadline=None,
                   dependencies={1: (), 2: (0, 1)})
         job.released_kernels = 3
-        expected = [job.kernels[0], job.kernels[1]]
-        assert (ready_in_mode(job, True) == ready_in_mode(job, False)
-                == expected)
+        # Two independent roots ready at once: more than a chain cursor
+        # can ever return.
+        assert job.ready_kernels() == scanned_ready(job) == [
+            job.kernels[0], job.kernels[1]]
 
 
 class TestProfilerBatchHook:

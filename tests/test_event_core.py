@@ -1,32 +1,22 @@
-"""Event-core (PR 10) differential family.
+"""O(1) arrival-path structures against the scans they replace.
 
-The event-core mode bundles eight flags (calendar queue, fused
-continuations, counted pump, flattened admission, slot cache, fused
-timer drain, live cache, job pool); :mod:`test_modes_matrix` proves the
-bundle reproduces the seed decisions on the 2^5 cross-product.  This
-module tests the *mechanisms* directly:
+The per-arrival and per-pump paths keep incrementally maintained
+structures instead of re-scanning the live set.  This module asserts,
+*during* live streamed runs, that each always agrees with the scan it
+replaces:
 
-* the calendar queue fires events in the exact (when, seq) order of the
-  seed binary heap, including the negative-seq arrival lane at tied
-  timestamps and bucket-boundary crossings;
-* the per-bucket minima that drive the fused run loop's exact peek stay
-  consistent with the bucket contents;
-* event fusion preserves the committed event sequence
-  (``events_committed`` is mode-invariant even though ``events_fired``
-  is not);
-* the O(1) structures that replace per-event scans — the dispatcher's
-  standing pending set and LAX's admission reserve counter — always
-  agree with the scans they replace, asserted *during* live runs;
-* the flattened ``outstanding_sum`` returns the exact float of the
-  generic Algorithm-1 helper it replaces;
-* the job pool recycles without leaking state across jobs.
+* LAX's admission reserve counter vs the READY-job scan;
+* the dispatcher's standing pending set vs the active-kernel scan;
+* the flattened ``outstanding_sum`` vs the generic Algorithm-1 helper;
+
+and that a streamed run reproduces the finite list it is a prefix of,
+with and without retirement.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SimConfig
@@ -34,26 +24,30 @@ from repro.core.admission import total_outstanding_time
 from repro.core.laxity import RemainingTimeCache, estimate_remaining_time
 from repro.schedulers.lax import LaxityScheduler
 from repro.schedulers.registry import make_scheduler
-from repro.sim import job_pool
 from repro.sim.device import GPUSystem
 from repro.sim.dispatcher import WGDispatcher
-from repro.sim.engine import Simulator, _BUCKET_SHIFT
 from repro.sim.job import JobState
-from repro.sim.modes import event_core_mode
 from repro.workloads.streaming import (SUSTAINED_RATES,
                                        build_sustained_jobs,
                                        sustained_source)
 
 RATE = SUSTAINED_RATES["high"]
-BUCKET = 1 << _BUCKET_SHIFT
 
 
 def _cell(scheduler="LAX", num_jobs=150, retire=True):
-    """One streamed mini sustained cell under the ambient mode flags."""
+    """One streamed mini sustained cell."""
     system = GPUSystem(make_scheduler(scheduler), SimConfig(), retire=retire)
     system.submit_stream(sustained_source(RATE).jobs(), max_jobs=num_jobs)
     metrics = system.run()
     return system, metrics
+
+
+def _finite(num_jobs):
+    """The finite, non-retired list the stream is a prefix of."""
+    jobs = build_sustained_jobs(num_jobs, RATE, 1, SimConfig().gpu)
+    system = GPUSystem(make_scheduler("LAX"), SimConfig(), retire=False)
+    system.submit_workload(jobs)
+    return system, system.run()
 
 
 def _signature(system, metrics):
@@ -73,118 +67,12 @@ def _signature(system, metrics):
 
 
 # ----------------------------------------------------------------------
-# Calendar queue ordering
-# ----------------------------------------------------------------------
-
-class TestWheelOrdering:
-    def _record_run(self, wheeled, plan):
-        """Fire ``plan`` on one simulator; return the observed order.
-
-        ``plan`` is a list of (when, lane) with lane "arrival" riding
-        :meth:`schedule_arrival` and lane "device" riding
-        :meth:`schedule_at`.
-        """
-        with event_core_mode(wheeled):
-            sim = Simulator()
-            fired = []
-            for index, (when, lane) in enumerate(plan):
-                if lane == "arrival":
-                    sim.schedule_arrival(when, fired.append,
-                                         ("arrival", when, index))
-                else:
-                    sim.schedule_at(when, fired.append,
-                                    ("device", when, index))
-            sim.run()
-        return fired
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=3 * BUCKET),
-                  st.sampled_from(["arrival", "device"])),
-        min_size=1, max_size=40))
-    def test_wheel_matches_heap_order(self, plan):
-        """Wheel and heap fire any schedule in the identical sequence."""
-        assert self._record_run(True, plan) == self._record_run(False, plan)
-
-    def test_arrival_lane_precedes_device_events_at_tied_ticks(self):
-        """The negative-seq arrival lane wins every same-tick tie, even
-        when the device event was scheduled first (streamed lookahead=1
-        delivers arrivals from inside handlers, so this ordering is what
-        makes streamed == finite)."""
-        for wheeled in (False, True):
-            fired = self._record_run(
-                wheeled,
-                [(5, "device"), (5, "arrival"), (5, "device"),
-                 (5, "arrival")])
-            assert [kind for kind, _, _ in fired] == [
-                "arrival", "arrival", "device", "device"]
-
-    def test_cross_bucket_ordering_with_ties(self):
-        """Events straddling bucket boundaries keep global order."""
-        edge = BUCKET
-        plan = [(edge, "device"), (edge - 1, "device"), (edge, "arrival"),
-                (edge + 1, "device"), (2 * edge, "device"),
-                (edge - 1, "arrival")]
-        assert (self._record_run(True, plan)
-                == self._record_run(False, plan))
-
-    def test_bucket_mins_track_bucket_contents(self):
-        """Every future bucket's maintained min is its true minimum."""
-        with event_core_mode(True):
-            sim = Simulator()
-            for when in (1, 7, BUCKET + 3, BUCKET + 1, 5 * BUCKET,
-                         5 * BUCKET + 9, 2 * BUCKET):
-                sim.schedule_at(when, lambda: None)
-            assert sim._buckets, "expected future buckets"
-            for b, entries in sim._buckets.items():
-                assert sim._bucket_mins[b] == min(e[:2] for e in entries)
-            # A cancelled entry may keep holding a bucket's min: that is
-            # allowed (it only costs a coalescing opportunity) — the min
-            # must still never be *later* than any live entry.
-            victim = min(sim._buckets)
-            entries = sim._buckets[victim]
-            min_entry = min(entries, key=lambda e: e[:2])
-            min_entry[2].cancel()
-            assert sim._bucket_mins[victim] <= min(
-                e[:2] for e in entries if not e[2].cancelled)
-            sim.run()
-
-
-# ----------------------------------------------------------------------
-# Event fusion
-# ----------------------------------------------------------------------
-
-class TestFusionIdentity:
-    def test_committed_sequence_is_mode_invariant(self):
-        with event_core_mode(False):
-            off = _signature(*_cell())
-        with event_core_mode(True):
-            on_system, on_metrics = _cell()
-            on = _signature(on_system, on_metrics)
-        assert on == off
-        stats = on_system.sim.event_core_stats()
-        assert stats["events_coalesced"] > 0, (
-            "the sustained cell must exercise the fused path")
-        assert stats["events_committed"] == (
-            stats["events_fired"] + stats["events_coalesced"])
-        assert stats["wheel_pops"] == stats["events_fired"]
-
-    def test_event_core_stats_off_mode(self):
-        with event_core_mode(False):
-            system, _ = _cell(num_jobs=40)
-        stats = system.sim.event_core_stats()
-        assert stats["wheeled"] is False
-        assert stats["events_coalesced"] == 0
-        assert stats["heap_pops"] == stats["events_fired"]
-
-
-# ----------------------------------------------------------------------
 # O(1) structures vs the scans they replace
 # ----------------------------------------------------------------------
 
 class TestReserveCounter:
     def test_counter_matches_ready_scan_throughout_a_run(self, monkeypatch):
-        """LAX's O(1) admission reserve equals the seed READY scan at
+        """LAX's O(1) admission reserve equals the READY-job scan at
         every single consult of a live streamed run."""
         orig = LaxityScheduler._reserved_wgs
         consults = []
@@ -205,8 +93,7 @@ class TestReserveCounter:
             return value
 
         monkeypatch.setattr(LaxityScheduler, "_reserved_wgs", checked)
-        with event_core_mode(True):
-            _cell(num_jobs=200)
+        _cell(num_jobs=200)
         assert consults, "admission never consulted the reserve"
         assert any(value > 0 for value in consults), (
             "the cell never had a READY backlog; the property is vacuous")
@@ -219,18 +106,20 @@ class TestPendingSet:
         over the active kernels at every pump."""
         orig = WGDispatcher._pump_once
 
+        pumps = []
+
         def checked(self):
-            if self.counted:
-                scan = [k for k in self._active
-                        if k.descriptor.num_wgs > k.wgs_issued]
-                assert list(self._pending_set) == scan, (
-                    f"pending set diverged from the active scan "
-                    f"at t={self._sim.now}")
+            scan = [k for k in self._active
+                    if k.descriptor.num_wgs > k.wgs_issued]
+            assert list(self._pending_set) == scan, (
+                f"pending set diverged from the active scan "
+                f"at t={self._sim.now}")
+            pumps.append(len(scan))
             return orig(self)
 
         monkeypatch.setattr(WGDispatcher, "_pump_once", checked)
-        with event_core_mode(True):
-            _cell(num_jobs=150)
+        _cell(scheduler="LAX-PREMA", num_jobs=150)
+        assert any(pumps), "no pump ever saw pending work"
 
 
 class TestOutstandingSum:
@@ -262,64 +151,28 @@ class TestOutstandingSum:
             return value
 
         monkeypatch.setattr(RemainingTimeCache, "outstanding_sum", checked)
-        with event_core_mode(True):
-            _cell(num_jobs=200)
+        _cell(num_jobs=200)
         assert checked_calls, "no admission took the slow path"
 
 
 # ----------------------------------------------------------------------
-# Job pool
-# ----------------------------------------------------------------------
-
-class TestJobPool:
-    def test_pool_recycles_on_the_sustained_cell(self):
-        with event_core_mode(True):
-            _, metrics = _cell(num_jobs=150)
-        stats = job_pool.stats()
-        assert stats["enabled"] is True
-        assert stats["hits"] > 0, "retirement should feed the pool"
-        assert stats["recycled"] > 0
-        assert metrics.num_jobs == 150
-
-    def test_pool_off_produces_identical_run(self):
-        with event_core_mode(True):
-            reference = _signature(*_cell(num_jobs=120))
-        with event_core_mode(True):
-            job_pool.ENABLED = False
-            try:
-                bare = _signature(*_cell(num_jobs=120))
-            finally:
-                job_pool.ENABLED = True
-        assert bare == reference
-
-
-# ----------------------------------------------------------------------
-# Streamed-run equivalence under the full event core (hypothesis)
+# Streamed-run equivalence (hypothesis)
 # ----------------------------------------------------------------------
 
 class TestStreamedEquivalence:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=30, max_value=90))
     def test_streamed_retired_prefix_matches_finite(self, num_jobs):
-        """Any prefix length: streamed lookahead=1 + retirement +
-        event core reproduces the finite, non-retired reference run's
-        decisions (arrival-lane ordering is what makes this hold)."""
-        with event_core_mode(True):
-            streamed = _signature(*_cell(num_jobs=num_jobs, retire=True))
-        with event_core_mode(False):
-            jobs = build_sustained_jobs(num_jobs, RATE, 1, SimConfig().gpu)
-            finite_system = GPUSystem(make_scheduler("LAX"), SimConfig(),
-                                      retire=False)
-            finite_system.submit_workload(jobs)
-            finite_metrics = finite_system.run()
-            finite = _signature(finite_system, finite_metrics)
+        """Any prefix length: streamed lookahead=1 + retirement
+        reproduces the finite, non-retired reference run's decisions
+        (arrival-lane ordering is what makes this hold)."""
+        streamed = _signature(*_cell(num_jobs=num_jobs, retire=True))
+        finite = _signature(*_finite(num_jobs))
         assert streamed == finite
 
     def test_per_job_outcomes_identical_without_retirement(self):
-        rows = {}
-        for flag in (False, True):
-            with event_core_mode(flag):
-                _, metrics = _cell(num_jobs=80, retire=False)
-            rows[flag] = [dataclasses.astuple(o) for o in metrics.outcomes]
-        assert rows[True] == rows[False]
-        assert rows[True], "the mini cell must record outcomes"
+        _, streamed = _cell(num_jobs=80, retire=False)
+        _, finite = _finite(80)
+        rows = [dataclasses.astuple(o) for o in streamed.outcomes]
+        assert rows == [dataclasses.astuple(o) for o in finite.outcomes]
+        assert rows, "the mini cell must record outcomes"

@@ -30,10 +30,10 @@ def small_sweep(**overrides):
 # Module-level so pool workers can unpickle them by reference (the test
 # process forks, so the module is present in the child).
 
-def _crash_on_seed_two(spec, config, validate, modes_state=None):
+def _crash_on_seed_two(spec, config, validate):
     if spec.seed == 2:
         os._exit(13)
-    return _pool_worker(spec, config, validate, modes_state)
+    return _pool_worker(spec, config, validate)
 
 
 def _error_run_cell(real):

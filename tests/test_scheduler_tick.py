@@ -1,103 +1,43 @@
-"""Differential + unit tests for the epoch-gated scheduler tick (PR 5).
+"""Unit tests for the epoch-gated scheduler tick.
 
-The gated LAX tick (``laxity.EPOCH_GATED``) must be **bit-identical** to
-the seed tick: same priorities, same admission verdicts, same WG-level
-trace, same clock.  Families here:
+The LAX tick re-walks a job's WGList only when one of its inputs moved.
+Families here:
 
-* **Whole-system differential** — random workloads through LAX and the
-  LAX-PREMA hybrid, run once per scheduler-tick mode with WG tracing;
-  metrics, traces, admission counters and final clocks must be equal.
+* **Tick accounting** — ticks split into cache-only and incremental
+  ones, and reuse dominates on a quiet workload.
 * **RemainingTimeCache unit tests** — invalidation on WG completion, on
   rate publication, volatile-type recompute, stream-append pickup
   through the CP, and forget() pruning.
 * **Profiling-table version counters** — ``rank_epoch`` / ``mutations``
   / ``unpublished`` / ``changed_kernels_since`` semantics.
-* **Fleet mini-cell** — a scaled-down large-fleet cell stays identical
-  across modes and reports sane tick accounting.
+* **Fleet mini-cell** — a scaled-down large-fleet cell is concurrent and
+  reports sane tick accounting.
 """
 
 import dataclasses
 
-from hypothesis import given, settings
-
 from repro.config import SimConfig
-from repro.core import laxity
 from repro.core.calibration import warm_table
 from repro.core.laxity import RemainingTimeCache, estimate_remaining_time
 from repro.core.profiling import KernelProfilingTable
 from repro.schedulers.registry import make_scheduler
 from repro.sim.device import GPUSystem
-from repro.sim.modes import scheduler_tick_mode
-from repro.sim.trace import TraceRecorder
 from repro.units import US
 from repro.workloads.fleet import (build_fleet_jobs, fleet_config,
                                    fleet_warm_rates, peak_concurrent_jobs)
 
 from conftest import make_descriptor, make_job
-from strategies import workloads
-from test_engine_hotpath import rebuild
 
 
-def run_tick_traced(template, scheduler, gated, **scheduler_kwargs):
-    """One traced run under the given scheduler-tick mode."""
-    with scheduler_tick_mode(gated):
-        trace = TraceRecorder(wg_events=True)
-        system = GPUSystem(make_scheduler(scheduler, **scheduler_kwargs),
-                           SimConfig(), trace=trace)
-        system.submit_workload(rebuild(template))
-        metrics = system.run()
-    admission = system.policy.admission
-    counters = (None if admission is None else
-                (admission.accepted, admission.rejected,
-                 admission.fast_accepted, admission.late_rejected))
-    return (dataclasses.asdict(metrics), trace.events, counters,
-            system.sim.events_fired, system.sim.now)
-
-
-class TestSchedulerTickDifferential:
-    """Gated tick vs seed tick: decision-for-decision identical runs."""
-
-    @settings(deadline=None)
-    @given(jobs=workloads(max_jobs=5))
-    def test_random_workloads_lax_identical(self, jobs):
-        gated = run_tick_traced(jobs, "LAX", gated=True)
-        seed = run_tick_traced(jobs, "LAX", gated=False)
-        assert gated[0] == seed[0]         # metrics, per-job outcomes
-        assert gated[1] == seed[1]         # full trace incl. WG placements
-        assert gated[2] == seed[2]         # admission counters
-        assert gated[3] == seed[3]         # events fired
-        assert gated[4] == seed[4]         # final clock
-
-    @settings(deadline=None)
-    @given(jobs=workloads(max_jobs=4))
-    def test_random_workloads_hybrid_identical(self, jobs):
-        gated = run_tick_traced(jobs, "LAX-PREMA", gated=True)
-        seed = run_tick_traced(jobs, "LAX-PREMA", gated=False)
-        assert gated == seed
-
-    @settings(deadline=None)
-    @given(jobs=workloads(max_jobs=4))
-    def test_no_admission_variant_identical(self, jobs):
-        gated = run_tick_traced(jobs, "LAX", gated=True,
-                                enable_admission=False)
-        seed = run_tick_traced(jobs, "LAX", gated=False,
-                               enable_admission=False)
-        assert gated == seed
-
-    def test_tick_stats_only_accumulate_in_gated_mode(self):
+class TestTickAccounting:
+    def test_tick_stats_accumulate(self):
         jobs = [make_job(job_id=i, arrival=i * 10 * US, deadline=20_000 * US,
                          descriptors=[make_descriptor(
                              num_wgs=2, wg_work=150 * US)] * 4)
                 for i in range(4)]
-        with scheduler_tick_mode(False):
-            system = GPUSystem(make_scheduler("LAX"), SimConfig())
-            system.submit_workload(rebuild(jobs))
-            system.run()
-        assert system.policy.tick_stats.ticks == 0
-        with scheduler_tick_mode(True):
-            system = GPUSystem(make_scheduler("LAX"), SimConfig())
-            system.submit_workload(rebuild(jobs))
-            system.run()
+        system = GPUSystem(make_scheduler("LAX"), SimConfig())
+        system.submit_workload(jobs)
+        system.run()
         stats = system.policy.tick_stats
         assert stats.ticks > 0
         assert stats.ticks == stats.ticks_elided + stats.ticks_incremental
@@ -240,7 +180,7 @@ class TestProfilingVersionCounters:
 
 
 class TestFleetMiniCell:
-    """A scaled-down fleet: identity across modes + sane shape."""
+    """A scaled-down fleet: concurrent, with sane tick accounting."""
 
     def small_fleet(self):
         config = fleet_config()
@@ -248,25 +188,16 @@ class TestFleetMiniCell:
                                  num_services=8),
                 config, fleet_warm_rates(config.gpu, num_services=8))
 
-    def run_mode(self, gated):
+    def run_cell(self):
         jobs, config, rates = self.small_fleet()
-        with scheduler_tick_mode(gated):
-            system = GPUSystem(make_scheduler("LAX"), config)
-            warm_table(system.profiler, rates)
-            system.submit_workload(jobs)
-            metrics = system.run()
+        system = GPUSystem(make_scheduler("LAX"), config)
+        warm_table(system.profiler, rates)
+        system.submit_workload(jobs)
+        metrics = system.run()
         return metrics, system
 
-    def test_modes_identical_on_the_mini_cell(self):
-        gated_metrics, gated_system = self.run_mode(True)
-        seed_metrics, seed_system = self.run_mode(False)
-        assert (dataclasses.asdict(gated_metrics)
-                == dataclasses.asdict(seed_metrics))
-        assert gated_system.sim.events_fired == seed_system.sim.events_fired
-        assert gated_system.sim.now == seed_system.sim.now
-
     def test_mini_cell_is_concurrent_and_mostly_admitted(self):
-        metrics, system = self.run_mode(True)
+        metrics, system = self.run_cell()
         outcomes = metrics.outcomes
         accepted = sum(1 for o in outcomes if o.accepted)
         assert accepted >= 80
@@ -282,11 +213,3 @@ class TestFleetMiniCell:
                     outcome(300, None)]
         # Handoff at t=100 is not overlap; the None-completion job is out.
         assert peak_concurrent_jobs(outcomes) == 2
-
-
-class TestEpochGatedFlag:
-    def test_flag_defaults_on_and_context_restores(self):
-        assert laxity.EPOCH_GATED
-        with scheduler_tick_mode(False):
-            assert not laxity.EPOCH_GATED
-        assert laxity.EPOCH_GATED

@@ -14,13 +14,11 @@ import pytest
 
 from repro.config import SimConfig
 from repro.errors import SimulationError, WorkloadError
-from repro.harness.experiment import ExperimentSpec, run_cell
+from repro.harness.experiment import ExperimentSpec
 from repro.harness.spec import SweepSpec
 from repro.errors import HarnessError
 from repro.schedulers.registry import make_scheduler
-from repro.sim import job_pool
 from repro.sim.device import GPUSystem
-from repro.sim.modes import engine_mode, get_retirement, retirement_mode
 from repro.sim.queues import QueuePool
 from repro.units import US
 from repro.workloads.registry import (BENCHMARK_ORDER, BENCHMARKS,
@@ -57,31 +55,42 @@ def _signature(system, metrics):
     )
 
 
-def _finite_run(scheduler: str, num_jobs: int, telemetry=None):
+def _finite_run(scheduler: str, num_jobs: int, telemetry=None,
+                validator=None):
     jobs = build_sustained_jobs(num_jobs, RATE, 1, SimConfig().gpu)
     system = GPUSystem(make_scheduler(scheduler), SimConfig(),
-                       telemetry=telemetry, retire=False)
+                       telemetry=telemetry, validator=validator,
+                       retire=False)
     system.submit_workload(jobs)
     return system, system.run()
 
 
 def _streamed_run(scheduler: str, num_jobs: int, retire: bool = False,
-                  lookahead: int = 1, telemetry=None):
+                  lookahead: int = 1, telemetry=None, validator=None):
     system = GPUSystem(make_scheduler(scheduler), SimConfig(),
-                       telemetry=telemetry, retire=retire)
+                       telemetry=telemetry, validator=validator,
+                       retire=retire)
     system.submit_stream(sustained_source(RATE).jobs(),
                          max_jobs=num_jobs, lookahead=lookahead)
     return system, system.run()
 
 
 class TestPrefixIdentity:
-    @pytest.mark.parametrize("optimized", (False, True))
+    @pytest.mark.parametrize("validate", (False, True))
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_streamed_prefix_bit_identical_to_finite(self, scheduler,
-                                                     optimized):
-        with engine_mode(optimized):
-            finite = _signature(*_finite_run(scheduler, 150))
-            streamed = _signature(*_streamed_run(scheduler, 150))
+                                                     validate):
+        """Also with the invariant checker attached to both runs: the
+        checker observes every event and must perturb none of them."""
+        from repro.validation import InvariantChecker
+
+        def checker():
+            return InvariantChecker() if validate else None
+
+        finite = _signature(*_finite_run(scheduler, 150,
+                                         validator=checker()))
+        streamed = _signature(*_streamed_run(scheduler, 150,
+                                             validator=checker()))
         assert streamed == finite
 
     def test_lookahead_window_does_not_change_outcomes(self):
@@ -176,27 +185,17 @@ class TestRetirement:
         system = GPUSystem(make_scheduler("RR"), SimConfig(), retire=True)
         system.submit_workload(jobs)
         retired = system.run()
-        # Check the state drop *before* the baseline run: the event-core
-        # job pool hands parked jobs back to the next template build
-        # (rebound in place), so these references would no longer point
-        # at retired objects afterwards.  Seed retire() clears the
-        # kernel chain; the pool's park keeps the kernels for rebind —
-        # the equivalent drop (see repro.sim.job_pool).
         assert all(job.retired for job in jobs)
-        if not job_pool.ENABLED:
-            assert all(job.kernels == [] for job in jobs)
+        assert all(job.kernels == [] for job in jobs)
         _, baseline = _finite_run("RR", 200)
         assert retired.outcomes == []
         assert retired.num_jobs == baseline.num_jobs
         assert retired.jobs_meeting_deadline == baseline.jobs_meeting_deadline
         assert retired.wg_completions == baseline.wg_completions
 
-    def test_mode_flag_sets_system_default(self):
-        assert get_retirement() is False
-        with retirement_mode(True):
-            assert get_retirement() is True
-            assert GPUSystem(make_scheduler("LAX"), SimConfig()).cp.retire
-        assert get_retirement() is False
+    def test_retire_argument_sets_system_mode(self):
+        assert GPUSystem(make_scheduler("LAX"), SimConfig(),
+                         retire=True).cp.retire
         assert not GPUSystem(make_scheduler("LAX"), SimConfig()).cp.retire
 
     def test_retire_rejects_live_job(self):
@@ -312,29 +311,18 @@ class TestStreamFeeder:
 
 
 class TestFiniteRunAssumptions:
-    """Paths that used to index the full job list keep working retired."""
+    """Consumers that read per-job outcomes get them: retirement is an
+    explicit ``GPUSystem(retire=True)`` choice, never ambient state."""
 
     def test_offline_profile_pins_per_job_outcomes(self):
         from repro.core.calibration import offline_profile
-        with retirement_mode(True):
-            rates = offline_profile([make_descriptor()], SimConfig())
+        rates = offline_profile([make_descriptor()], SimConfig())
         assert all(rate > 0 for rate in rates.values())
 
     def test_conformance_scenarios_pin_per_job_outcomes(self):
         from repro.validation.conformance import run_scenario
-        with retirement_mode(True):
-            outcome = run_scenario("LAX", "single_job")
+        outcome = run_scenario("LAX", "single_job")
         assert len(outcome.metrics.outcomes) == len(outcome.jobs)
-
-    def test_run_cell_aggregates_under_retirement(self):
-        spec = ExperimentSpec(benchmark="SUSTAINED", scheduler="LAX",
-                              rate_level="x2", num_jobs=24, seed=77)
-        with retirement_mode(True):
-            result = run_cell(spec)
-        metrics = result.metrics
-        assert metrics.outcomes == []
-        assert metrics.num_jobs == 24
-        assert metrics.jobs_meeting_deadline + metrics.jobs_rejected <= 24
 
     def test_run_report_counts_retired_jobs(self):
         from repro.telemetry import TelemetryHub, build_report, render_markdown

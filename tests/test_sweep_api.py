@@ -6,8 +6,7 @@ import repro
 import repro.harness as harness
 from repro.errors import HarnessError
 from repro.harness import RunOptions, Runner, SweepSpec, run_cell
-from repro.harness.replication import (compare_sweep, compare_with_confidence,
-                                       replicate_cell, replicate_sweep)
+from repro.harness.replication import compare_sweep, replicate_sweep
 from repro.harness.spec import single_cell_sweep
 from repro.harness.experiment import ExperimentSpec
 
@@ -118,27 +117,6 @@ class TestPublicSurface:
         assert repro.Runner is Runner
         for name in ("SweepSpec", "RunOptions", "Runner"):
             assert name in repro.__all__
-
-
-class TestRemovedWrappers:
-    """The PR-3 deprecation cycle is complete: the string-positional
-    wrappers stay importable but raise with a pointer to the sweep API.
-    """
-
-    def test_replicate_cell_raises_with_pointer(self):
-        with pytest.raises(HarnessError, match="replicate_sweep"):
-            replicate_cell("IPV6", "LAX", num_jobs=8, seeds=(1, 2))
-
-    def test_compare_with_confidence_raises_with_pointer(self):
-        with pytest.raises(HarnessError, match="compare_sweep"):
-            compare_with_confidence("IPV6", "LAX", "RR",
-                                    num_jobs=8, seeds=(1, 2))
-
-    def test_wrappers_raise_even_with_no_arguments(self):
-        with pytest.raises(HarnessError):
-            replicate_cell()
-        with pytest.raises(HarnessError):
-            compare_with_confidence()
 
 
 class TestCompareSweepShape:

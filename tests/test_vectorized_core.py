@@ -1,43 +1,31 @@
-"""Unit + differential tests for the vectorized engine core (SoA mode).
+"""The array sides of the population gates against the scalar sides.
 
-``vectorized_mode`` switches three carriers at once (``laxity``, the
-CU, the WG dispatcher) onto struct-of-arrays hot state; the whole-flag
-cross product lives in ``test_modes_matrix.py``.  This module covers
-the pieces individually:
+Both sides of ``lax._VEC_MIN_JOBS`` (the struct-of-arrays tick and
+admission sum) and ``dispatcher._VEC_MIN_ACTIVE`` (the occupancy-array
+pumps) ship, and they must make the same decisions.  The mini cells
+here sit on whichever side the gates put them, so each test forces the
+array side by setting both gates to 1 and the scalar side by raising
+them out of reach, then compares:
 
 * **differential mini-cells** — fleet/LAX with WG tracing, the hybrid
-  under a contended stream, SRF's priority-rewriting tick and the
-  host-driven LAX-SW priority path all bit-identical across modes;
-* **bucketed-order plumbing** — the standing issue order actually
-  engages under the flag, stays unbuilt without it, and the
-  invalidation counters move when priorities are rewritten;
-* **ResidentArrays engagement** — ``_VEC_MIN_RESIDENTS`` forced low so
-  the per-CU SoA path runs even on a mini cell, and stays identical;
-* **mode snapshot/apply** — the picklable state workers re-apply, round
-  trips and ignores unknown keys;
-* **assert_equivalent** — the structured A/B checkpoint the benches
-  serialise: exactness, tolerance consumption, and failure paths.
+  under a contended stream, SRF's priority-rewriting tick, the
+  host-driven LAX-SW priority path and a cold-table LSTM cell;
+* **bucketed-order plumbing** — the standing issue order engages above
+  the gate and not below it, and the invalidation counters move when
+  priorities are rewritten.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-import pickle
+from contextlib import contextmanager
 
 import pytest
 
 from repro.config import SimConfig
-from repro.core import laxity
 from repro.schedulers.registry import make_scheduler
-from repro.sim import modes
-from repro.sim.compute_unit import ComputeUnit
 from repro.sim.device import GPUSystem
-from repro.sim.dispatcher import WGDispatcher
-from repro.sim.modes import vectorized_mode
 from repro.sim.trace import TraceRecorder
-from repro.validation import (EquivalenceError, EquivalenceLog,
-                              assert_equivalent)
 from repro.workloads.fleet import (build_fleet_jobs, fleet_config,
                                    fleet_warm_rates)
 from repro.workloads.streaming import SUSTAINED_RATES, sustained_source
@@ -47,19 +35,25 @@ from repro.core.calibration import warm_table
 RATE = SUSTAINED_RATES["high"]
 
 
-@pytest.fixture(autouse=True)
-def _engage_small_cells(monkeypatch):
-    """Force the SoA paths on below the population gates.
-
-    The mini cells here sit under ``_VEC_MIN_JOBS`` / ``_VEC_MIN_ACTIVE``
-    (the cost-model gates that keep small populations on the scalar fast
-    path), so without this the differentials would compare scalar against
-    scalar and assert nothing."""
-    monkeypatch.setattr("repro.schedulers.lax._VEC_MIN_JOBS", 1)
-    monkeypatch.setattr("repro.sim.dispatcher._VEC_MIN_ACTIVE", 1)
+#: A gate no mini cell can reach: keeps every pump and tick scalar.
+_UNREACHABLE = 10 ** 9
 
 
-def _traced_fleet_run(vectorized, num_jobs=96):
+@pytest.fixture
+def vectorized_mode(monkeypatch):
+    """``vectorized_mode(True)`` puts both gates at 1 (every tick and
+    pump takes the array side), ``False`` out of reach (scalar side)."""
+    @contextmanager
+    def mode(vectorized):
+        gate = 1 if vectorized else _UNREACHABLE
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.schedulers.lax._VEC_MIN_JOBS", gate)
+            patch.setattr("repro.sim.dispatcher._VEC_MIN_ACTIVE", gate)
+            yield
+    return mode
+
+
+def _traced_fleet_run(vectorized_mode, vectorized, num_jobs=96):
     """A scaled-down fleet cell with full WG tracing."""
     config = fleet_config()
     jobs = build_fleet_jobs(num_jobs=num_jobs, seed=3, gpu=config.gpu)
@@ -76,7 +70,7 @@ def _traced_fleet_run(vectorized, num_jobs=96):
             system.sim.events_fired, system.sim.now, system)
 
 
-def _streamed_run(scheduler, vectorized, num_jobs=80):
+def _streamed_run(vectorized_mode, scheduler, vectorized, num_jobs=80):
     with vectorized_mode(vectorized):
         trace = TraceRecorder(wg_events=True)
         system = GPUSystem(make_scheduler(scheduler), SimConfig(),
@@ -89,39 +83,32 @@ def _streamed_run(scheduler, vectorized, num_jobs=80):
 
 
 class TestVectorizedDifferential:
-    def test_fleet_lax_bit_identical(self):
-        vec = _traced_fleet_run(True)
-        pr5 = _traced_fleet_run(False)
-        assert vec[:5] == pr5[:5]
+    def test_fleet_lax_bit_identical(self, vectorized_mode):
+        vec = _traced_fleet_run(vectorized_mode, True)
+        scalar = _traced_fleet_run(vectorized_mode, False)
+        assert vec[:5] == scalar[:5]
 
-    def test_hybrid_stream_bit_identical(self):
-        vec = _streamed_run("LAX-PREMA", True)
-        pr5 = _streamed_run("LAX-PREMA", False)
-        assert vec[:4] == pr5[:4]
+    def test_hybrid_stream_bit_identical(self, vectorized_mode):
+        vec = _streamed_run(vectorized_mode, "LAX-PREMA", True)
+        scalar = _streamed_run(vectorized_mode, "LAX-PREMA", False)
+        assert vec[:4] == scalar[:4]
 
-    def test_srf_tick_bit_identical(self):
+    def test_srf_tick_bit_identical(self, vectorized_mode):
         """SRF rewrites priorities every tick — the eager invalidation
         path must keep the standing order honest."""
-        vec = _streamed_run("SRF", True)
-        pr5 = _streamed_run("SRF", False)
-        assert vec[:4] == pr5[:4]
+        vec = _streamed_run(vectorized_mode, "SRF", True)
+        scalar = _streamed_run(vectorized_mode, "SRF", False)
+        assert vec[:4] == scalar[:4]
 
-    def test_host_priority_path_bit_identical(self):
+    def test_host_priority_path_bit_identical(self, vectorized_mode):
         """LAX-SW drives priorities through the host's register writes
         (``Host._do_set_priority``), the invalidation site the CP-side
         ticks never exercise."""
-        vec = _streamed_run("LAX-SW", True)
-        pr5 = _streamed_run("LAX-SW", False)
-        assert vec[:4] == pr5[:4]
+        vec = _streamed_run(vectorized_mode, "LAX-SW", True)
+        scalar = _streamed_run(vectorized_mode, "LAX-SW", False)
+        assert vec[:4] == scalar[:4]
 
-    def test_resident_arrays_engaged_identical(self, monkeypatch):
-        """Force the per-CU ResidentArrays on at tiny residency."""
-        monkeypatch.setattr("repro.sim.compute_unit._VEC_MIN_RESIDENTS", 1)
-        vec = _traced_fleet_run(True, num_jobs=48)
-        pr5 = _traced_fleet_run(False, num_jobs=48)
-        assert vec[:5] == pr5[:5]
-
-    def test_cold_table_volatile_types_bit_identical(self):
+    def test_cold_table_volatile_types_bit_identical(self, vectorized_mode):
         """Regression: a cold profiling table keeps kernel types volatile
         (observations but no published rate), so every cache sync fires
         ``on_types_changed`` and marks rank-SoA slots stale.  The
@@ -144,27 +131,33 @@ class TestVectorizedDifferential:
 
 
 class TestBucketedOrder:
-    def test_engages_only_under_flag(self):
-        *_, vec_system = _traced_fleet_run(True, num_jobs=48)
-        *_, pr5_system = _traced_fleet_run(False, num_jobs=48)
+    def test_engages_only_above_the_gate(self, vectorized_mode):
+        *_, vec_system = _traced_fleet_run(vectorized_mode, True,
+                                           num_jobs=48)
+        *_, scalar_system = _traced_fleet_run(vectorized_mode, False,
+                                              num_jobs=48)
         assert vec_system.dispatcher.bucketed_pumps > 0
         assert vec_system.dispatcher.order_rebuilds > 0
-        assert pr5_system.dispatcher.bucketed_pumps == 0
-        assert pr5_system.dispatcher.order_rebuilds == 0
+        assert scalar_system.dispatcher.bucketed_pumps == 0
+        assert scalar_system.dispatcher.order_rebuilds == 0
 
-    def test_priority_ticks_invalidate(self):
+    def test_priority_ticks_invalidate(self, vectorized_mode):
         """The LAX tick rewrites priorities, so a run with ticks must
         have dropped the standing order at least once."""
-        *_, system = _traced_fleet_run(True, num_jobs=48)
+        *_, system = _traced_fleet_run(vectorized_mode, True, num_jobs=48)
         assert system.dispatcher.order_invalidations > 0
 
-    def test_population_gate_keeps_small_cells_scalar(self, monkeypatch):
+    def test_population_gate_keeps_small_cells_scalar(self):
         """At the default gates a 48-job cell never engages the bucketed
         pump — the cost model keeps small populations on the scalar
-        path (both sides are bit-identical, so this is purely perf)."""
-        monkeypatch.setattr("repro.schedulers.lax._VEC_MIN_JOBS", 64)
-        monkeypatch.setattr("repro.sim.dispatcher._VEC_MIN_ACTIVE", 64)
-        *_, system = _traced_fleet_run(True, num_jobs=48)
+        path (both sides make the same decisions, so this is purely
+        perf)."""
+        config = fleet_config()
+        system = GPUSystem(make_scheduler("LAX"), config)
+        warm_table(system.profiler, fleet_warm_rates(config.gpu))
+        system.submit_workload(build_fleet_jobs(num_jobs=48, seed=3,
+                                                gpu=config.gpu))
+        system.run()
         assert system.dispatcher.bucketed_pumps == 0
         assert system.dispatcher.order_rebuilds == 0
 
@@ -178,77 +171,3 @@ class TestBucketedOrder:
         dispatcher.invalidate_order()
         assert dispatcher._order_buckets is None
         assert dispatcher.order_invalidations == 1
-
-
-class TestModeSnapshot:
-    def test_round_trip(self):
-        """Vectorized ships on by default; flip it off, snapshot, and
-        re-apply — the applied state must reach all three carriers."""
-        baseline = modes.snapshot()
-        assert modes.get_vectorized() is True
-        try:
-            with vectorized_mode(False):
-                saved = modes.snapshot()
-            assert saved != baseline
-            modes.apply(saved)
-            assert modes.get_vectorized() is False
-            assert laxity.VECTORIZED is False
-            assert ComputeUnit.vectorized is False
-            assert WGDispatcher.vectorized is False
-        finally:
-            modes.apply(baseline)
-        assert modes.get_vectorized() is True
-
-    def test_apply_ignores_unknown_keys(self):
-        baseline = modes.snapshot()
-        modes.apply({"NoSuchCarrier.flag": True, **baseline})
-        assert modes.snapshot() == baseline
-
-    def test_snapshot_is_picklable(self):
-        state = pickle.loads(pickle.dumps(modes.snapshot()))
-        assert state == modes.snapshot()
-
-
-class TestAssertEquivalent:
-    def test_exact_record(self):
-        record = assert_equivalent({"a": [1, 2.0]}, {"a": [1, 2.0]},
-                                   context="t")
-        assert record.exact
-        assert record.compared == 2
-        assert record.max_rel_error == 0.0
-        assert record.as_dict()["context"] == "t"
-
-    def test_tolerance_consumed_is_recorded(self):
-        record = assert_equivalent({"x": 100.0}, {"x": 100.0001},
-                                   rel_tol=1e-4)
-        assert not record.exact
-        assert 0.0 < record.max_rel_error <= 1e-4
-        assert record.worst_path == "x"
-
-    def test_float_beyond_tolerance_raises_with_path(self):
-        with pytest.raises(EquivalenceError) as err:
-            assert_equivalent({"x": [1.0, 2.0]}, {"x": [1.0, 3.0]},
-                              rel_tol=1e-6, context="run")
-        assert "run:x[1]" in str(err.value)
-
-    def test_non_float_leaves_never_use_tolerance(self):
-        with pytest.raises(EquivalenceError):
-            assert_equivalent(100, 101, rel_tol=0.5)
-
-    def test_structural_mismatches_raise(self):
-        with pytest.raises(EquivalenceError):
-            assert_equivalent([1, 2], [1, 2, 3])
-        with pytest.raises(EquivalenceError):
-            assert_equivalent({"a": 1}, {"b": 1})
-
-    def test_nan_matches_nan(self):
-        assert assert_equivalent(math.nan, math.nan).exact
-
-    def test_log_accumulates(self):
-        log = EquivalenceLog()
-        log.check(1, 1, context="ints")
-        log.check(2.0, 2.0 + 1e-9, rel_tol=1e-6, context="floats")
-        assert len(log.records) == 2
-        assert not log.all_exact
-        contexts = [entry["context"] for entry in log.as_json()]
-        assert contexts == ["ints", "floats"]

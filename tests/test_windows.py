@@ -265,19 +265,17 @@ class TestStreamedComposition:
         from repro.config import SimConfig
         from repro.schedulers.registry import make_scheduler
         from repro.sim.device import GPUSystem
-        from repro.sim.modes import event_core_mode
         from repro.telemetry import TelemetryHub
         from repro.workloads.streaming import SUSTAINED_RATES, sustained_source
 
         stream = io.StringIO() if slo else None
         hub = TelemetryHub(window=W, slo_monitor=slo, slo_stream=stream)
-        with event_core_mode(True):
-            system = GPUSystem(make_scheduler("LAX"), SimConfig(),
-                               telemetry=hub, retire=True)
-            system.submit_stream(
-                sustained_source(SUSTAINED_RATES["high"]).jobs(),
-                max_jobs=num_jobs)
-            metrics = system.run()
+        system = GPUSystem(make_scheduler("LAX"), SimConfig(),
+                           telemetry=hub, retire=True)
+        system.submit_stream(
+            sustained_source(SUSTAINED_RATES["high"]).jobs(),
+            max_jobs=num_jobs)
+        metrics = system.run()
         return hub, metrics, stream
 
     def test_windows_complete_over_retired_stream(self):
