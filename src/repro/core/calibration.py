@@ -45,9 +45,8 @@ def offline_profile(descriptors: Iterable[KernelDescriptor],
     for name, descriptor in unique.items():
         job = Job(job_id=0, benchmark=f"profile:{name}",
                   descriptors=[descriptor], arrival=0, deadline=None)
-        # The rate is read off the job's own outcome, so the profiling
-        # run must keep per-job state even under global retirement mode.
-        system = GPUSystem(RoundRobinScheduler(), config, retire=False)
+        # The rate is read off the job's own outcome (no retirement).
+        system = GPUSystem(RoundRobinScheduler(), config)
         system.submit_workload([job])
         metrics = system.run()
         wall = metrics.outcomes[0].latency - overhead

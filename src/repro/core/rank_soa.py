@@ -273,7 +273,8 @@ class RankSoA:
     def refresh(self, slots: Iterable[int], now: int) -> int:
         """Recompute stale estimates through the dict cache; returns the
         number of slots refreshed.  Every value lands in both stores, so
-        a later scalar tick (mode flipped off) sees a warm cache."""
+        a later scalar tick (population back below the gate) sees a warm
+        cache."""
         cache = self._cache
         jobs = self._jobs
         remaining = self.remaining

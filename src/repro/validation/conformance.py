@@ -165,12 +165,11 @@ def run_scenario(scheduler: str, scenario: str,
             f"{', '.join(SCENARIOS)}")
     jobs = builder()
     checker = InvariantChecker()
-    # Postconditions and contracts audit every job's individual outcome,
-    # so scenario runs opt out of any globally enabled job retirement.
+    # Postconditions and contracts audit every job's individual outcome
+    # (no retirement).
     system = GPUSystem(make_scheduler(scheduler),
                        config if config is not None else SimConfig(),
-                       telemetry=telemetry, validator=checker,
-                       retire=False)
+                       telemetry=telemetry, validator=checker)
     system.submit_workload(jobs)
     metrics = system.run()
     return ScenarioOutcome(scheduler=scheduler, scenario=scenario,

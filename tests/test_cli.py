@@ -134,3 +134,31 @@ class TestEventCoreReport:
         out = capsys.readouterr().out
         assert "## Event core" not in out
         assert "# Run report" in out
+
+    def test_bundle_with_retired_engine_counters_renders(self, tmp_path,
+                                                         capsys):
+        """Bundles written while the engine had a calendar queue and a
+        job pool carry extra counters; the renderer shows the committed
+        events and periodic ticks and ignores the rest."""
+        import json
+        import os
+
+        bundle = str(tmp_path / "wheel")
+        assert main(["report", "--benchmark", "SUSTAINED",
+                     "--scheduler", "LAX", "--stream", "300",
+                     "--emit-telemetry", bundle]) == 0
+        capsys.readouterr()
+        path = os.path.join(bundle, "report.json")
+        with open(path, encoding="utf-8") as source:
+            report = json.load(source)
+        report["diagnostics"]["event_core"].update(
+            wheeled=True, events_fired=10, events_coalesced=5,
+            wheel_pops=10, heap_pops=0,
+            job_pool={"enabled": True, "hits": 3, "misses": 1})
+        with open(path, "w", encoding="utf-8") as sink:
+            json.dump(report, sink)
+        assert main(["report", "--from-bundle", bundle]) == 0
+        out = capsys.readouterr().out
+        assert "committed events" in out
+        assert "periodic ticks" in out
+        assert "job pool" not in out

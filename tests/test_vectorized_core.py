@@ -93,6 +93,15 @@ class TestVectorizedDifferential:
         scalar = _streamed_run(vectorized_mode, "LAX-PREMA", False)
         assert vec[:4] == scalar[:4]
 
+    @pytest.mark.parametrize("scheduler", ("RR", "MLFQ", "PREMA"))
+    def test_own_issue_order_stream_bit_identical(self, vectorized_mode,
+                                                  scheduler):
+        """Policies that override ``issue_order`` take the pre-filtered
+        array pump (``_pump_batched_vec``) above the gate."""
+        vec = _streamed_run(vectorized_mode, scheduler, True)
+        scalar = _streamed_run(vectorized_mode, scheduler, False)
+        assert vec[:4] == scalar[:4]
+
     def test_srf_tick_bit_identical(self, vectorized_mode):
         """SRF rewrites priorities every tick — the eager invalidation
         path must keep the standing order honest."""
