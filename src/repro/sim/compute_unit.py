@@ -131,9 +131,7 @@ class ComputeUnit:
         so the arrays always equal the scalar counters.
         """
         self._occ = occ
-        residents = self._residents
-        self._min_conc = (min(wg.concurrency for wg in residents)
-                          if residents else NO_RESIDENTS)
+        self._recompute_min_conc()
         self._occ_write()
 
     def _occ_write(self) -> None:
