@@ -285,13 +285,13 @@ class WGDispatcher:
             # Nothing has WGs left to issue.  (No cache to drop — an idle
             # pump never consumes standing-order heads.)
             return
-        vectorized = len(self._active) >= _VEC_MIN_ACTIVE
-        if not vectorized and self._order_buckets is not None:
+        use_arrays = len(self._active) >= _VEC_MIN_ACTIVE
+        if not use_arrays and self._order_buckets is not None:
             # Crossing below the gate: the scalar pumps issue WGs without
             # maintaining the standing order, so drop it rather than let
             # a stale cache greet the next crossing back up.
             self.invalidate_order()
-        if vectorized:
+        if use_arrays:
             # The O(1) array check runs *before* the pending list copy: a
             # saturated device skips both it and the ranking pass.
             if not self._any_capacity_vec():
@@ -302,11 +302,11 @@ class WGDispatcher:
                 self._pump_bucketed_vec()
                 return
         pending = list(self._pending_set)
-        if not vectorized and not self._any_capacity(pending):
+        if not use_arrays and not self._any_capacity(pending):
             return
         if self._policy is None:
             raise SimulationError("dispatcher has no policy attached")
-        if vectorized:
+        if use_arrays:
             self._pump_batched_vec(pending)
         elif len(pending) == 1 and not self._policy.filtering_issue:
             self._pump_single(pending[0])
