@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.config import SimConfig
+from repro.sim.engine import Simulator
 from repro.sim.job import Job
 from repro.sim.kernel import KernelDescriptor
 from repro.units import MS, US
@@ -58,6 +59,37 @@ def make_jobs(count: int, gap: int = 50 * US,
     return [make_job(job_id=i, descriptors=descriptors,
                      arrival=gap * (i + 1), deadline=deadline)
             for i in range(count)]
+
+
+def fire_plan(plan, cancel=()):
+    """Fire ``plan`` on one simulator; return the observed order.
+
+    ``plan`` is a list of (when, lane) with lane "arrival" riding
+    :meth:`Simulator.schedule_arrival` and lane "device" riding
+    :meth:`Simulator.schedule_at`; entries whose plan index is in
+    ``cancel`` are cancelled before the run.
+    """
+    sim = Simulator()
+    fired = []
+    handles = []
+    for index, (when, lane) in enumerate(plan):
+        schedule = (sim.schedule_arrival if lane == "arrival"
+                    else sim.schedule_at)
+        handles.append(schedule(when, fired.append, (lane, when, index)))
+    for index in cancel:
+        handles[index].cancel()
+    sim.run()
+    return fired
+
+
+def oracle_order(plan, cancel=()):
+    """The (when, seq) total order: by time; at a tie every arrival
+    before every device event; within a lane, scheduling order."""
+    survivors = [(when, lane != "arrival", index, lane)
+                 for index, (when, lane) in enumerate(plan)
+                 if index not in cancel]
+    return [(lane, when, index)
+            for when, _, index, lane in sorted(survivors)]
 
 
 @pytest.fixture

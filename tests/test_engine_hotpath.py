@@ -10,15 +10,15 @@ module checks the mechanisms underneath it:
   ``flush_issue`` equals a ``start_wg`` loop.
 * **Batch-capacity algebra** — ``batch_capacity`` must equal the number
   of consecutive ``can_accept``/``start_wg`` rounds that succeed.
-* **Event heap** — firing order matches an in-test ``(when, seq)``
-  oracle (including the negative-seq arrival lane), the O(1)
-  ``pending_events`` counter always agrees with a heap scan, and
-  compaction shrinks the heap without reordering a surviving event.
+* **Event heap** — the negative-seq arrival lane wins tied ticks, the
+  O(1) ``pending_events`` counter always agrees with a heap scan, and
+  compaction shrinks the heap without reordering a surviving event
+  (the property test of firing order is in ``test_event_core.py``).
 * **Ready cursor** — a chain job's O(1) cursor returns what the full
   ready scan returns; DAG jobs take the scan.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.config import SimConfig
 from repro.core.profiling import KernelProfilingTable
@@ -29,7 +29,7 @@ from repro.sim.job import Job
 from repro.sim.kernel import KernelPhase
 from repro.units import US
 
-from conftest import make_descriptor, make_job
+from conftest import fire_plan, make_descriptor, make_job, oracle_order
 
 
 # ----------------------------------------------------------------------
@@ -187,51 +187,7 @@ def live_heap_count(sim):
     return sum(1 for event in sim._heap if not event.cancelled)
 
 
-def fire_plan(plan, cancel=()):
-    """Fire ``plan`` on one simulator; return the observed order.
-
-    ``plan`` is a list of (when, lane) with lane "arrival" riding
-    :meth:`Simulator.schedule_arrival` and lane "device" riding
-    :meth:`Simulator.schedule_at`; entries whose plan index is in
-    ``cancel`` are cancelled before the run.
-    """
-    sim = Simulator()
-    fired = []
-    handles = []
-    for index, (when, lane) in enumerate(plan):
-        schedule = (sim.schedule_arrival if lane == "arrival"
-                    else sim.schedule_at)
-        handles.append(schedule(when, fired.append, (lane, when, index)))
-    for index in cancel:
-        handles[index].cancel()
-    sim.run()
-    return fired
-
-
-def oracle_order(plan, cancel=()):
-    """The (when, seq) total order: by time; at a tie every arrival
-    before every device event; within a lane, scheduling order."""
-    survivors = [(when, lane != "arrival", index, lane)
-                 for index, (when, lane) in enumerate(plan)
-                 if index not in cancel]
-    return [(lane, when, index)
-            for when, _, index, lane in sorted(survivors)]
-
-
 class TestEventHeap:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=3 * 4096),
-                  st.sampled_from(["arrival", "device"])),
-        min_size=1, max_size=80),
-        st.sets(st.integers(min_value=0, max_value=79)))
-    def test_firing_order_matches_when_seq_oracle(self, plan, cancel):
-        """Any schedule, with any subset cancelled (enough tombstones to
-        trigger compaction on the larger plans), fires in (when, seq)
-        order."""
-        cancel = {index for index in cancel if index < len(plan)}
-        assert fire_plan(plan, cancel) == oracle_order(plan, cancel)
-
     def test_arrival_lane_precedes_device_events_at_tied_ticks(self):
         """The negative-seq arrival lane wins every same-tick tie, even
         when the device event was scheduled first (streamed lookahead=1

@@ -10,7 +10,9 @@ replaces:
 * the flattened ``outstanding_sum`` vs the generic Algorithm-1 helper;
 
 and that a streamed run reproduces the finite list it is a prefix of,
-with and without retirement.
+with and without retirement.  The event heap underneath fires every
+schedule in the ``(when, seq)`` order the calendar wheel it replaced
+used: by tick, arrivals first at a tie, then scheduling order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from repro.workloads.streaming import (SUSTAINED_RATES,
                                        build_sustained_jobs,
                                        sustained_source)
 
+from conftest import fire_plan, oracle_order
+
 RATE = SUSTAINED_RATES["high"]
+
+#: Bucket width, in ticks, of the calendar wheel the heap replaced; the
+#: ordering tests still straddle its old boundaries.
+BUCKET = 4096
 
 
 def _cell(scheduler="LAX", num_jobs=150, retire=True):
@@ -64,6 +72,36 @@ def _signature(system, metrics):
         (admission.accepted, admission.rejected, admission.fast_accepted,
          admission.late_rejected) if admission is not None else None,
     )
+
+
+# ----------------------------------------------------------------------
+# Event ordering
+# ----------------------------------------------------------------------
+
+class TestWheelOrdering:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3 * BUCKET),
+                  st.sampled_from(["arrival", "device"])),
+        min_size=1, max_size=80),
+        st.sets(st.integers(min_value=0, max_value=79)))
+    def test_wheel_matches_heap_order(self, plan, cancel):
+        """Any schedule, with any subset cancelled (enough tombstones to
+        trigger compaction on the larger plans), fires in (when, seq)
+        order."""
+        cancel = {index for index in cancel if index < len(plan)}
+        assert fire_plan(plan, cancel) == oracle_order(plan, cancel)
+
+    def test_cross_bucket_ordering_with_ties(self):
+        """Events straddling the old bucket boundaries, with ties on
+        both lanes, keep global order."""
+        edge = BUCKET
+        plan = [(edge, "device"), (edge - 1, "device"), (edge, "arrival"),
+                (edge + 1, "device"), (2 * edge, "device"),
+                (edge - 1, "arrival")]
+        assert fire_plan(plan) == oracle_order(plan)
+        assert [index for _, _, index in fire_plan(plan)] == [
+            5, 1, 2, 0, 3, 4]
 
 
 # ----------------------------------------------------------------------
