@@ -168,6 +168,11 @@ class Router:
     def _commit(self, device: int, job: "Job", now: int) -> None:
         done = max(now, self._horizon[device]) + self.service_estimate(job)
         self._horizon[device] = done
+        # Drop drained completions here too, not only in queue_depth:
+        # policies that never ask for the depth would otherwise keep one
+        # entry per job ever routed.  Arrivals are routed in time order,
+        # so a later queue_depth would have dropped the same entries.
+        self.queue_depth(device, now)
         self._queues[device].append(done)
         self.lane_counts[device] += 1
 

@@ -15,30 +15,33 @@ Two workload paths, mirroring the single-device API:
   the per-device lanes in memory;
 * ``submit_stream(source, max_jobs=)`` with a replayable
   :class:`~repro.workloads.streaming.ArrivalSource` keeps O(live)
-  memory: a first counting pass routes the stream (emitting router
-  telemetry), then each device replays the deterministic source
-  through a fresh router and keeps only its own lane.  Plain finite
-  iterables are accepted too, at the cost of materializing them.
+  memory: serially, one pass draws and routes every arrival exactly
+  once and demultiplexes it into per-device FIFOs, while the devices
+  advance in lockstep so those FIFOs stay short (see
+  :meth:`ClusterSystem._run_lockstep`).  Plain finite iterables are
+  accepted too, at the cost of materializing them.
 
 Devices are fully independent once lanes are fixed, so ``workers > 1``
 fans the per-device simulations out over a ``ProcessPoolExecutor`` —
 the same worker-process pattern as the sweep runner — and is
 bit-identical to serial execution: a worker either re-receives the
 pickled lane (finite path) or re-derives it by deterministic router
-replay (streamed path).
+replay of the source (streamed path, after a counting pass).
 
-Determinism: per-device seeds come from the documented spawn scheme
-(:func:`~repro.cluster.routers.derive_device_seed`), the router's own
-RNG from ``derive_router_seed``; re-running the same spec is
-bit-identical, and device ``i``'s seed never depends on fleet size.
+Determinism: the router's RNG comes from ``derive_router_seed``, and
+:attr:`ClusterSystem.device_seeds` exposes the documented per-device
+spawn (:func:`~repro.cluster.routers.derive_device_seed`) for
+stochastic device models; re-running the same spec is bit-identical.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import (Deque, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, TYPE_CHECKING)
 
 from ..config import DEFAULT_CONFIG, SimConfig
 from ..errors import ConfigError, SimulationError
@@ -140,9 +143,9 @@ class ClusterSystem:
         """Route a lazy arrival stream; once.
 
         A replayable :class:`~repro.workloads.streaming.ArrivalSource`
-        (``max_jobs`` required) keeps O(live) memory via deterministic
-        router replay; any other iterable is materialized up front and
-        routed as a finite list.
+        (``max_jobs`` required) keeps O(live) memory: its arrivals are
+        drawn lazily while the devices run; any other iterable is
+        materialized up front and routed as a finite list.
         """
         self._mark_submitted()
         if lookahead < 1:
@@ -152,8 +155,7 @@ class ClusterSystem:
             if max_jobs is None:
                 raise SimulationError(
                     "cluster streaming from an ArrivalSource needs "
-                    "max_jobs: the stream is replayed per device and "
-                    "must be bounded")
+                    "max_jobs: the source is unbounded")
             if max_jobs < 1:
                 raise SimulationError(
                     f"stream max_jobs must be >= 1, got {max_jobs}")
@@ -197,30 +199,16 @@ class ClusterSystem:
             hub.decisions.emit(job.arrival, "router_decision",
                                self.router_name, **fields)
 
-    def _replay_jobs(self) -> Iterable[Job]:
+    def _arrivals(self) -> Iterator[Job]:
         return islice(self._source.jobs(), self._max_jobs)
 
     def _routing_pass(self) -> None:
-        """Pass 1 of a streamed run: route and count, keep no jobs."""
+        """Pool path's pass 1: route and count, keep no jobs."""
         router = self.router
-        for job in self._replay_jobs():
+        for job in self._arrivals():
             self._record_decision(job, router.route(job, job.arrival))
         if router.routed == 0:
             raise SimulationError("empty workload")
-
-    def _lane_stream(self, index: int) -> Iterable[Job]:
-        """Device ``index``'s lane, re-derived by router replay.
-
-        A fresh router over the replayed source makes the identical
-        decisions (deterministic policy + seeded RNG), so each device
-        — possibly in its own worker process — filters the shared
-        stream down to its own lane without an assignment table.
-        """
-        router = make_router(self.router_name, self.num_devices,
-                             self.config.gpu, self.seed)
-        for job in self._replay_jobs():
-            if router.route(job, job.arrival).device == index:
-                yield job
 
     # ------------------------------------------------------------------
     # Execution
@@ -235,31 +223,33 @@ class ClusterSystem:
         """
         if not self._submitted:
             raise SimulationError("no workload submitted")
-        if self._mode == "stream":
-            self._routing_pass()
-        lane_sizes = tuple(self.router.lane_counts)
-        live = [d for d in range(self.num_devices) if lane_sizes[d] > 0]
         per_device: List[Optional[object]] = [None] * self.num_devices
         diagnostics: List[Optional[Dict[str, object]]] = \
             [None] * self.num_devices
         started = perf_counter()
-        if self.workers > 1 and len(live) > 1:
-            payloads = [self._worker_payload(d) for d in live]
-            with ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(live))) as pool:
-                for index, metrics, diag in pool.map(_device_worker,
-                                                     payloads):
-                    per_device[index] = metrics
-                    diagnostics[index] = diag
+        if self._mode == "stream" and self.workers == 1:
+            self._run_lockstep(per_device, diagnostics)
         else:
-            for d in live:
-                metrics, diag = self._run_device(d)
-                per_device[d] = metrics
-                diagnostics[d] = diag
+            if self._mode == "stream":
+                self._routing_pass()
+            live = [d for d, size in enumerate(self.router.lane_counts)
+                    if size > 0]
+            if self.workers > 1 and len(live) > 1:
+                payloads = [self._worker_payload(d) for d in live]
+                with ProcessPoolExecutor(
+                        max_workers=min(self.workers, len(live))) as pool:
+                    for index, metrics, diag in pool.map(_device_worker,
+                                                         payloads):
+                        per_device[index] = metrics
+                        diagnostics[index] = diag
+            else:
+                for d in live:
+                    per_device[d], diagnostics[d] = self._run_device(d)
         wall = perf_counter() - started
         fleet = ClusterMetrics(
             router=self.router_name, num_devices=self.num_devices,
-            lane_sizes=lane_sizes, router_rejected=self.router.rejected,
+            lane_sizes=tuple(self.router.lane_counts),
+            router_rejected=self.router.rejected,
             router_rejected_sensitive=self._rejected_sensitive,
             per_device=tuple(per_device), diagnostics=tuple(diagnostics),
             decision_reasons=dict(self._decision_reasons),
@@ -270,27 +260,78 @@ class ClusterSystem:
             self.telemetry.flush()
         return fleet
 
-    def _build_device(self, index: int,
-                      telemetry=None) -> GPUSystem:
+    def _run_lockstep(self, per_device: List[Optional[object]],
+                      diagnostics: List[Optional[Dict[str, object]]]
+                      ) -> None:
+        """Serial streamed run: every arrival drawn and routed once.
+
+        A :class:`_LaneDemux` feeds the devices' lanes.  A device is
+        built when its first job is routed (idle devices stay
+        unbuilt), and the built ones advance together: each step runs
+        every engine through the demux frontier as it stood when the
+        step began.  During a step each device delivers its arrivals up
+        to that horizon and pulls its next job, which moves the
+        frontier on, so only the arrivals between one horizon and the
+        next wait in the FIFOs, however long the stream.  Devices
+        share nothing but the demux, so each one fires exactly the
+        events of a solo run over its lane.
+        """
+        demux = _LaneDemux(self)
+        running: List[int] = []
+        wall = [0.0] * self.num_devices
+        while True:
+            while demux.fresh:
+                index = demux.fresh.popleft()
+                system = self._build_device(index)
+                self.devices[index] = system
+                system.submit_stream(demux.lane(index),
+                                     lookahead=self._lookahead)
+                running.append(index)
+            if demux.exhausted:
+                break
+            if not running:
+                demux.pull()  # nothing routed to a device yet
+                continue
+            horizon = demux.frontier
+            for index in running:
+                begin = perf_counter()
+                self.devices[index].advance(horizon)
+                wall[index] += perf_counter() - begin
+        if self.router.routed == 0:
+            raise SimulationError("empty workload")
+        for index in running:
+            system = self.devices[index]
+            begin = perf_counter()
+            system.advance()
+            per_device[index] = system.finish()
+            diagnostics[index] = _device_diagnostics(
+                system, wall[index] + perf_counter() - begin)
+
+    def _build_device(self, index: int) -> GPUSystem:
         policy = make_scheduler(self.scheduler, **dict(self.scheduler_args))
         validator = None
         if self.validate:
             from ..validation.invariants import InvariantChecker
             validator = InvariantChecker()
+        telemetry = None
+        if self.device_telemetry is not None:
+            telemetry = self.device_telemetry[index]
         return GPUSystem(policy, self.config, telemetry=telemetry,
                          validator=validator, retire=self.retire)
 
     def _run_device(self, index: int):
-        hub = None
-        if self.device_telemetry is not None:
-            hub = self.device_telemetry[index]
-        system = self._build_device(index, telemetry=hub)
+        """Run one lane in-process, to completion.
+
+        A finite lane runs on an inspectable device; a streamed lane
+        gets here only from a pool run left with one live lane, and is
+        replayed exactly as a pool worker would.
+        """
+        if self._mode == "stream":
+            _, metrics, diag = _device_worker(self._worker_payload(index))
+            return metrics, diag
+        system = self._build_device(index)
         self.devices[index] = system
-        if self._mode == "finite":
-            system.submit_workload(self._lanes[index])
-        else:
-            system.submit_stream(self._lane_stream(index),
-                                 lookahead=self._lookahead)
+        system.submit_workload(self._lanes[index])
         started = perf_counter()
         metrics = system.run()
         return metrics, _device_diagnostics(system,
@@ -312,6 +353,57 @@ class ClusterSystem:
             "lookahead": self._lookahead,
             "workload": workload,
         }
+
+
+class _LaneDemux:
+    """One pass over a streamed source, fanned out to per-device FIFOs.
+
+    :meth:`pull` draws the next arrival, routes it through the
+    cluster's router, records the decision (so router telemetry keeps
+    global arrival order) and queues the job on its device's FIFO.
+    Device ``d``'s :meth:`lane` pops that FIFO; when it runs dry the
+    lane pulls global arrivals in order until a ``d``-job or the end of
+    the stream turns up.
+    """
+
+    def __init__(self, cluster: ClusterSystem) -> None:
+        self._cluster = cluster
+        self._stream = cluster._arrivals()
+        self._buffers: List[Deque[Job]] = \
+            [deque() for _ in range(cluster.num_devices)]
+        #: Arrival time of the last pulled job: the lockstep horizon.
+        self.frontier = 0
+        #: True once the source (or the max_jobs budget) ran dry.
+        self.exhausted = False
+        #: Devices whose first job was routed, in routing order.
+        self.fresh: Deque[int] = deque()
+
+    def pull(self) -> None:
+        """Draw, route and queue one arrival."""
+        job = next(self._stream, None)
+        if job is None:
+            self.exhausted = True
+            return
+        cluster = self._cluster
+        router = cluster.router
+        decision = router.route(job, job.arrival)
+        cluster._record_decision(job, decision)
+        self.frontier = job.arrival
+        device = decision.device
+        if device != REJECTED:
+            if router.lane_counts[device] == 1:  # its first job
+                self.fresh.append(device)
+            self._buffers[device].append(job)
+
+    def lane(self, device: int) -> Iterator[Job]:
+        """Device ``device``'s jobs, in arrival order, pulled on demand."""
+        buffer = self._buffers[device]
+        while True:
+            while not buffer:
+                if self.exhausted:
+                    return
+                self.pull()
+            yield buffer.popleft()
 
 
 def _device_diagnostics(system: GPUSystem,

@@ -97,6 +97,7 @@ class GPUSystem:
         if validator is not None:
             validator.attach(self)
         self._submitted = False
+        self._advanced = False
 
     def submit_workload(self, jobs: Iterable[Job]) -> None:
         """Schedule each job's arrival; may be called once per system."""
@@ -138,12 +139,27 @@ class GPUSystem:
 
     def run(self) -> RunMetrics:
         """Run the workload to completion and return the run summary."""
+        self.advance()
+        return self.finish()
+
+    def advance(self, until: Optional[int] = None) -> None:
+        """Drive the engine through simulated time ``until``; resumable.
+
+        ``None`` runs to completion.  A caller slicing the run (the
+        cluster's lockstep driver) ends with ``advance()`` and then
+        :meth:`finish`, exactly what :meth:`run` does in one go.
+        """
         if not self._submitted:
             raise SimulationError("no workload submitted")
+        if not self._advanced:
+            self._advanced = True
+            if self.sim.profiler is not None:
+                self.sim.profiler.begin_run()
+        self.sim.run(until)
+
+    def finish(self) -> RunMetrics:
+        """Close a drained run: audit the drain, fold and return metrics."""
         profiler = self.sim.profiler
-        if profiler is not None:
-            profiler.begin_run()
-        self.sim.run()
         if profiler is not None:
             profiler.end_run(self.sim.events_fired, self.sim.now)
         if self.pool.num_bound or self.pool.backlog:

@@ -224,8 +224,13 @@ class Simulator:
             return True
         return False
 
-    def run(self) -> int:
-        """Run until no events remain; return the final time.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run until no events remain, or past ``until``; return the time.
+
+        With ``until`` set, events with ``when <= until`` fire (including
+        ones scheduled along the way) and the clock stays at the last
+        fired event, so slicing a run into ``run(until=h)`` calls fires
+        exactly the sequence of one uninterrupted ``run()``.
 
         The hot loop inlines :meth:`step` (identical semantics, minus one
         Python call frame per event — measurable at millions of events).
@@ -235,6 +240,11 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         max_time = self.max_time
+        # One bound per event, the tighter of the horizon and the
+        # livelock guard; which one was crossed is sorted out only then.
+        limit = max_time
+        if until is not None and (max_time is None or until < max_time):
+            limit = until
         # Hoisted for the duration of this run(): both sinks are attached
         # at system-build time, before any event fires.
         validator = self.validator
@@ -244,11 +254,14 @@ class Simulator:
             if event.cancelled:
                 self._cancelled -= 1
                 continue
-            self._pending -= 1
-            if max_time is not None and event.when > max_time:
+            if limit is not None and event.when > limit:
+                if until is not None and event.when > until:
+                    heapq.heappush(heap, event)
+                    return self._now
                 raise SimulationError(
                     f"simulation exceeded max_time={max_time} ticks; "
                     "the workload may be livelocked")
+            self._pending -= 1
             if validator is not None:
                 validator.on_event(event, self._now)
             self._now = event.when
@@ -264,18 +277,10 @@ class Simulator:
     def run_until(self, when: int) -> int:
         """Run events up to and including time ``when``.
 
-        The clock is left at ``when`` (or later if an event fired exactly
-        there) so subsequent relative scheduling behaves intuitively.
+        Unlike ``run(until=when)``, the clock is then bumped to ``when``
+        so subsequent relative scheduling behaves intuitively.
         """
-        while self._heap:
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled -= 1
-                continue
-            if head.when > when:
-                break
-            self.step()
+        self.run(until=when)
         self._now = max(self._now, when)
         return self._now
 

@@ -13,7 +13,9 @@ The load-bearing properties:
   pool changes the wall clock, never a result;
 * **conservation** — every arrival lands in exactly one device lane
   or the router-rejected ledger (``audit_routing`` runs after every
-  fleet run).
+  fleet run);
+* **route once** — a serial streamed run draws and routes every
+  arrival exactly once, however many devices it feeds.
 """
 
 from __future__ import annotations
@@ -23,13 +25,17 @@ import pytest
 from repro import cli
 from repro.cluster import (ClusterMetrics, ClusterSystem, derive_device_seed,
                            derive_router_seed)
+from repro.cluster.routers import Router
 from repro.config import SimConfig
 from repro.errors import ConfigError, SimulationError
 from repro.schedulers.registry import make_scheduler
 from repro.sim import Device
 from repro.sim.device import GPUSystem
 from repro.telemetry import TelemetryHub
-from repro.workloads.streaming import (SUSTAINED_RATES, build_sustained_jobs,
+from repro.validation import audit_routing
+from repro.workloads.streaming import (SUSTAINED_RATES, SUSTAINED_TINY_KERNEL,
+                                       JobTemplate, PoissonSource,
+                                       build_sustained_jobs,
                                        sustained_fleet_source,
                                        sustained_source)
 
@@ -82,6 +88,19 @@ def _streamed_fleet(num_devices=3, router="laxity", jobs=400,
         sustained_fleet_source(num_devices, RATE * multiplier),
         max_jobs=jobs)
     return fleet
+
+
+class _CountingSource:
+    """An arrival source that counts the jobs its streams yield."""
+
+    def __init__(self, source):
+        self._source = source
+        self.drawn = 0
+
+    def jobs(self, first_job_id=0):
+        for job in self._source.jobs(first_job_id):
+            self.drawn += 1
+            yield job
 
 
 class TestDeviceProtocol:
@@ -250,18 +269,59 @@ class TestFleetRuns:
         assert metrics.decision_reasons.get("router_reject", 0) \
             == metrics.router_rejected
 
-    def test_idle_devices_stay_unbuilt(self):
+    @pytest.mark.parametrize("submission", ("finite", "streamed"))
+    def test_idle_devices_stay_unbuilt(self, submission):
         # Two jobs across four devices: at least two devices are idle.
         fleet = ClusterSystem("LAX", SimConfig(), num_devices=4,
                               router="least-loaded")
-        fleet.submit_workload(
-            build_sustained_jobs(2, RATE, 1, SimConfig().gpu))
+        if submission == "finite":
+            fleet.submit_workload(
+                build_sustained_jobs(2, RATE, 1, SimConfig().gpu))
+        else:
+            fleet.submit_stream(sustained_fleet_source(4, RATE), max_jobs=2)
         metrics = fleet.run()
         assert metrics.num_jobs == 2
         idle = [d for d, size in enumerate(metrics.lane_sizes) if size == 0]
         assert len(idle) >= 2
         for d in idle:
             assert metrics.per_device[d] is None
+            assert fleet.devices[d] is None
+
+    def test_streamed_fleet_shedding_everything_builds_no_device(self):
+        # A deadline of one tick: the laxity router sheds every arrival.
+        hopeless = JobTemplate(
+            "SUSTAINED", (SUSTAINED_TINY_KERNEL.descriptor(SimConfig().gpu),),
+            deadline=1)
+        fleet = ClusterSystem("LAX", SimConfig(), num_devices=4,
+                              router="laxity")
+        fleet.submit_stream(PoissonSource([hopeless], RATE), max_jobs=50)
+        metrics = fleet.run()
+        assert metrics.per_device == (None,) * 4
+        assert fleet.devices == [None] * 4
+        assert metrics.router_rejected == 50
+        audit_routing(fleet.router, metrics)
+
+
+class TestRouteOnce:
+    """A serial streamed fleet draws and routes each arrival once."""
+
+    def test_each_arrival_drawn_and_routed_once(self, monkeypatch):
+        routed = []
+        route = Router.route
+
+        def counting_route(router, job, now):
+            routed.append(job.job_id)
+            return route(router, job, now)
+
+        monkeypatch.setattr(Router, "route", counting_route)
+        source = _CountingSource(sustained_fleet_source(4, 2 * RATE))
+        fleet = ClusterSystem("LAX", SimConfig(), num_devices=4,
+                              router="laxity", retire=True)
+        fleet.submit_stream(source, max_jobs=400)
+        metrics = fleet.run()
+        assert metrics.num_jobs == 400
+        assert source.drawn == 400
+        assert routed == list(range(400))
 
 
 class TestSubmissionErrors:

@@ -11,7 +11,7 @@ from repro.schedulers.registry import make_scheduler
 from repro.sim.device import GPUSystem, run_workload
 from repro.units import MS, US
 
-from conftest import make_descriptor, make_job
+from conftest import make_descriptor, make_job, make_jobs
 
 
 class TestGPUSystemApi:
@@ -56,6 +56,28 @@ class TestGPUSystemApi:
         metrics = run_workload(make_scheduler("RR"), [late, early])
         outcomes = {o.job_id: o for o in metrics.outcomes}
         assert outcomes[1].completion < outcomes[0].completion
+
+    def test_sliced_advance_then_finish_equals_run(self):
+        def system():
+            built = GPUSystem(make_scheduler("LAX"), SimConfig())
+            built.submit_stream(iter(make_jobs(12, gap=20 * US)))
+            return built
+
+        whole = system()
+        expected = whole.run()
+        sliced = system()
+        for horizon in range(0, 400 * US, 37 * US):
+            sliced.advance(horizon)
+            assert sliced.sim.now <= horizon
+        sliced.advance()
+        metrics = sliced.finish()
+        assert metrics.outcomes == expected.outcomes
+        assert sliced.sim.now == whole.sim.now
+        assert sliced.sim.events_fired == whole.sim.events_fired
+
+    def test_advance_without_submit_rejected(self):
+        with pytest.raises(SimulationError, match="no workload"):
+            GPUSystem(make_scheduler("RR"), SimConfig()).advance(10)
 
 
 class TestDefaultIssueKey:

@@ -147,6 +147,108 @@ class TestRunControl:
         assert sim.events_fired == 3
 
 
+class _FiringLog:
+    """Validator stand-in: records each fired event's ``(when, seq)``."""
+
+    def __init__(self):
+        self.fired = []
+
+    def on_event(self, event, now):
+        self.fired.append((event.when, event.seq))
+
+
+def _scripted_sim():
+    """A simulator whose run mixes both lanes, ties, nested scheduling
+    and (at t=50) a cancellation burst that compacts the heap."""
+    sim = Simulator()
+    sim.validator = _FiringLog()
+    doomed = [sim.schedule_at(60 + i, lambda: None) for i in range(80)]
+    compactions = []
+
+    def cancel_burst():
+        before = len(sim._heap)
+        for handle in doomed:
+            handle.cancel()
+        compactions.append((before, len(sim._heap)))
+
+    def spawn(depth):
+        if depth:
+            sim.schedule(7, spawn, depth - 1)
+            sim.schedule_arrival(sim.now + 7, lambda: None)
+
+    for when in (10, 20, 20, 35):
+        sim.schedule_arrival(when, lambda: None)
+        sim.schedule_at(when, spawn, 3)
+    sim.schedule_at(50, cancel_burst)
+    sim.schedule_at(200, lambda: None)
+    return sim, compactions
+
+
+class TestHorizonRun:
+    """``run(until=h)`` slices resume into the uninterrupted sequence."""
+
+    def _whole(self):
+        sim, _ = _scripted_sim()
+        sim.run()
+        return sim.validator.fired
+
+    @pytest.mark.parametrize("horizons", [
+        (20,),              # an arrival-lane tie with device events
+        (15, 27, 49),       # between events
+        (49, 50, 55),       # on both sides of the compaction
+        tuple(range(0, 210, 3)),
+    ])
+    def test_sliced_run_fires_the_uninterrupted_sequence(self, horizons):
+        sim, compactions = _scripted_sim()
+        for horizon in horizons:
+            sim.run(until=horizon)
+            fired = sim.validator.fired
+            assert all(when <= horizon for when, _ in fired)
+            # The clock rests on the last fired event, never on h.
+            assert sim.now == (fired[-1][0] if fired else 0)
+        sim.run()
+        assert sim.validator.fired == self._whole()
+        (before, after), = compactions
+        assert after < before
+
+    def test_clock_never_moves_to_an_empty_horizon(self):
+        sim, _ = _scripted_sim()
+        sim.run(until=9)
+        assert sim.now == 0 and sim.validator.fired == []
+        sim.run(until=14)
+        assert sim.now == 10
+
+    def test_horizon_pauses_before_the_livelock_guard(self):
+        sim = Simulator(max_time=100)
+        sim.schedule(200, lambda: None)
+        # The event lies past the horizon: pause, even beyond max_time.
+        assert sim.run(until=150) == 0
+        assert sim.pending_events == 1
+        with pytest.raises(SimulationError, match="max_time"):
+            sim.run(until=300)
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=60),
+                              st.booleans()), min_size=1, max_size=30),
+           st.lists(st.integers(min_value=0, max_value=70), max_size=8))
+    def test_any_slicing_preserves_the_order(self, plan, horizons):
+        def build():
+            sim = Simulator()
+            sim.validator = _FiringLog()
+            for when, arrival in plan:
+                schedule = sim.schedule_arrival if arrival else sim.schedule_at
+                schedule(when, lambda: None)
+            return sim
+
+        whole = build()
+        whole.run()
+        sliced = build()
+        for horizon in sorted(horizons):
+            sliced.run(until=horizon)
+        sliced.run()
+        assert sliced.validator.fired == whole.validator.fired
+        assert sliced.now == whole.now
+
+
 class TestPeriodicTask:
     def test_fires_until_inactive(self):
         sim = Simulator()
