@@ -41,7 +41,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .harness.experiment import ExperimentSpec, run_cell
 from .harness.formatting import format_table
@@ -292,12 +292,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _save_workload(args)
     if args.compare:
         return _compare(args)
-    if args.workload:
-        return _run_workload_file(args)
     if args.devices is not None:
         return _run_cluster(args)
-    if args.stream is not None:
-        return _run_stream(args)
+    if args.workload or args.stream is not None:
+        return _run_direct(args)
     return _run_single(args)
 
 
@@ -383,21 +381,6 @@ def _make_validator(args):
         return None
     from .validation import InvariantChecker
     return InvariantChecker()
-
-
-def _event_core_diagnostics(system) -> Dict[str, object]:
-    """Engine counters for the run's diagnostics block.
-
-    Committed events plus the scheduler's periodic-tick counts; bundles
-    written without the key simply skip the report section.
-    """
-    counters: Dict[str, object] = {
-        "events_committed": system.sim.events_committed}
-    updater = getattr(system.policy, "_updater", None)
-    if updater is not None:
-        counters["periodic_ticks_fired"] = updater.ticks_fired
-        counters["periodic_ticks_elided"] = updater.ticks_elided
-    return counters
 
 
 def _violation_exit(exc, validator, args) -> int:
@@ -516,11 +499,17 @@ def _run_single(args) -> int:
             return _violation_exit(failure.exception, validator, args)
         outcome.raise_failures()
     result = outcome.results[spec]
-    metrics = result.metrics
-    label = spec.describe()
-    validation = result.diagnostics.get("validation")
+    return _finish_run(args, hub, result.metrics, spec.describe(),
+                       result.diagnostics,
+                       result.diagnostics.get("validation"))
+
+
+def _finish_run(args, hub, metrics, label: str, diagnostics,
+                validation) -> int:
+    """Print a single-device run's table or report, write what it
+    asked for, and return the exit code."""
     if args.command == "report":
-        _print_report(hub, metrics, label, result.diagnostics,
+        _print_report(hub, metrics, label, diagnostics,
                       validation=validation)
     else:
         print(format_table(("metric", "value"), _summary_rows(metrics),
@@ -528,8 +517,8 @@ def _run_single(args) -> int:
     if args.trace:
         _export_trace(hub, args.trace)
     if args.emit_telemetry:
-        _emit_bundle(args.emit_telemetry, hub, metrics, label,
-                     result.diagnostics, validation=validation)
+        _emit_bundle(args.emit_telemetry, hub, metrics, label, diagnostics,
+                     validation=validation)
     _sink_note(hub)
     if validation is not None:
         return _validation_outcome(validation,
@@ -551,142 +540,64 @@ def _save_workload(args) -> int:
     return 0
 
 
-def _run_workload_file(args) -> int:
-    """Simulate a workload JSON file under the chosen scheduler."""
-    from .config import SimConfig
-    from .schedulers.registry import make_scheduler
-    from .sim.device import GPUSystem
-    from .workloads.serialization import load_workload
+def _run_direct(args) -> int:
+    """Run a workload file or a streamed SUSTAINED cell in-process.
 
-    jobs = load_workload(args.workload)
-    hub = _make_hub(args, label=os.path.basename(args.workload))
-    validator = _make_validator(args)
-    system = GPUSystem(make_scheduler(args.scheduler), SimConfig(),
-                       telemetry=hub, validator=validator)
-    system.submit_workload(jobs)
-    if validator is not None:
-        from .validation import InvariantViolation
-        try:
-            metrics = system.run()
-        except InvariantViolation as exc:
-            return _violation_exit(exc, validator, args)
-    else:
-        metrics = system.run()
-    label = f"{args.workload} under {args.scheduler}"
-    diagnostics = {
-        "events_fired": system.sim.events_fired,
-        "wgs_issued": system.dispatcher.wgs_issued,
-        "wgs_preempted": system.dispatcher.wgs_preempted,
-        "host_commands": system.host.commands_sent,
-        "event_core": _event_core_diagnostics(system),
-    }
-    validation = None
-    if validator is not None:
-        from .validation import audit_run
-        validation = validator.summary()
-        validation["oracle_failures"] = audit_run(system, jobs, metrics)
-    if args.command == "report":
-        _print_report(hub, metrics, label, diagnostics,
-                      validation=validation)
-    else:
-        p99_value = metrics.p99_latency_ticks
-        rows = [
-            ("jobs", metrics.num_jobs),
-            ("jobs meeting deadline", metrics.jobs_meeting_deadline),
-            ("jobs rejected", metrics.jobs_rejected),
-            ("wasted WG fraction", f"{metrics.wasted_wg_fraction:.3f}"),
-            ("99p latency (ms)",
-             f"{to_ms(p99_value):.3f}" if p99_value is not None else "-"),
-        ]
-        print(format_table(("metric", "value"), rows, title=label))
-    if args.trace:
-        _export_trace(hub, args.trace)
-    if args.emit_telemetry:
-        _emit_bundle(args.emit_telemetry, hub, metrics, label, diagnostics,
-                     validation=validation)
-    _sink_note(hub)
-    if validation is not None:
-        return _validation_outcome(validation,
-                                   quiet=args.command == "report")
-    return 0
-
-
-def _run_stream(args) -> int:
-    """Run a lazily streamed SUSTAINED cell at O(live-jobs) memory.
-
-    Jobs are generated on demand by the Poisson sustained-traffic
-    source and (unless ``--no-retire``) retired as they reach a
-    terminal state, so the run's footprint is bounded by the in-flight
-    population no matter how large ``--stream N`` is.  Outcomes fold
-    into the stream aggregate; the summary table reads the same
-    metrics properties as a finite run.
+    Both submit an arrival stream to one device.  A file is a finite
+    list, which ``submit_workload`` sorts by ``(arrival, job_id)``.
+    ``--stream N`` draws N jobs on demand from the Poisson
+    sustained-traffic source and, unless ``--no-retire``, retires each
+    one as it reaches a terminal state, so memory stays O(live jobs) at
+    any N; the summary then reads the stream aggregate.
     """
     from .config import SimConfig
+    from .harness.experiment import run_diagnostics
     from .schedulers.registry import make_scheduler
     from .sim.device import GPUSystem
-    from .workloads.registry import benchmark_spec
-    from .workloads.streaming import sustained_source
+    from .validation import InvariantViolation, audit_run
 
     config = SimConfig()
-    rate = benchmark_spec(args.benchmark).rate(args.rate)
-    source = sustained_source(rate, seed=args.seed, gpu=config.gpu)
-    label = (f"{args.benchmark}/{args.scheduler}@{args.rate} "
-             f"stream n={args.stream} seed={args.seed}")
+    if args.workload:
+        label = f"{args.workload} under {args.scheduler}"
+    else:
+        label = (f"{args.benchmark}/{args.scheduler}@{args.rate} "
+                 f"stream n={args.stream} seed={args.seed}")
     hub = _make_hub(args, label=label)
     validator = _make_validator(args)
-    retire = not args.no_retire
+    retire = args.stream is not None and not args.no_retire
     system = GPUSystem(make_scheduler(args.scheduler), config,
                        telemetry=hub, validator=validator, retire=retire)
-    stream = source.jobs()
-    fed_jobs: List[object] = []
-    if validator is not None and not retire:
-        # Without retirement the per-job ledgers stay live, so record
-        # the fed jobs and let the oracles audit them directly.
-        def _recording(jobs):
-            for job in jobs:
-                fed_jobs.append(job)
-                yield job
-        stream = _recording(stream)
-    system.submit_stream(stream, max_jobs=args.stream)
-    if validator is not None:
-        from .validation import InvariantViolation
-        try:
-            metrics = system.run()
-        except InvariantViolation as exc:
-            return _violation_exit(exc, validator, args)
+    # The jobs the oracles audit.  Retired jobs carry no kernel state,
+    # so a retired stream leaves this empty and the oracles read the
+    # banked stream aggregate instead.
+    jobs: List[object] = []
+    if args.workload:
+        from .workloads.serialization import load_workload
+        jobs = load_workload(args.workload)
+        system.submit_workload(jobs)
     else:
+        from .workloads.registry import benchmark_spec
+        from .workloads.streaming import sustained_source
+        source = sustained_source(benchmark_spec(args.benchmark)
+                                  .rate(args.rate),
+                                  seed=args.seed, gpu=config.gpu)
+        stream = source.jobs()
+        if validator is not None and not retire:
+            stream = jobs = source.materialize(args.stream)
+        system.submit_stream(stream, max_jobs=args.stream)
+    try:
         metrics = system.run()
-    diagnostics = {
-        "events_fired": system.sim.events_fired,
-        "wgs_issued": system.dispatcher.wgs_issued,
-        "wgs_preempted": system.dispatcher.wgs_preempted,
-        "host_commands": system.host.commands_sent,
-        "jobs_retired": metrics.stream.jobs if metrics.stream else 0,
-        "event_core": _event_core_diagnostics(system),
-    }
+    except InvariantViolation as exc:
+        return _violation_exit(exc, validator, args)
+    diagnostics = run_diagnostics(system)
+    if args.stream is not None:
+        diagnostics["jobs_retired"] = \
+            metrics.stream.jobs if metrics.stream else 0
     validation = None
     if validator is not None:
-        from .validation import audit_run
         validation = validator.summary()
-        # With retirement on, terminal jobs carry no kernel state and
-        # the oracles read the banked stream aggregate instead.
-        validation["oracle_failures"] = audit_run(system, fed_jobs, metrics)
-    if args.command == "report":
-        _print_report(hub, metrics, label, diagnostics,
-                      validation=validation)
-    else:
-        print(format_table(("metric", "value"), _summary_rows(metrics),
-                           title=label))
-    if args.trace:
-        _export_trace(hub, args.trace)
-    if args.emit_telemetry:
-        _emit_bundle(args.emit_telemetry, hub, metrics, label, diagnostics,
-                     validation=validation)
-    _sink_note(hub)
-    if validation is not None:
-        return _validation_outcome(validation,
-                                   quiet=args.command == "report")
-    return 0
+        validation["oracle_failures"] = audit_run(system, jobs, metrics)
+    return _finish_run(args, hub, metrics, label, diagnostics, validation)
 
 
 def _run_cluster(args) -> int:

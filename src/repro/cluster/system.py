@@ -9,24 +9,24 @@ it at the router tier); each lane then runs as an ordinary
 single-device simulation and the per-device summaries fold into one
 :class:`~repro.cluster.metrics.ClusterMetrics`.
 
-Two workload paths, mirroring the single-device API:
+Every workload is one replayable arrival sequence, drawn lazily:
+``submit_stream(source, max_jobs=)`` takes an
+:class:`~repro.workloads.streaming.ArrivalSource`, and
+``submit_workload(jobs)`` (or ``submit_stream`` over any other finite
+iterable) sorts the list by ``(arrival, job_id)`` and replays that.
 
-* ``submit_workload(jobs)`` routes the finite list up front and holds
-  the per-device lanes in memory;
-* ``submit_stream(source, max_jobs=)`` with a replayable
-  :class:`~repro.workloads.streaming.ArrivalSource` keeps O(live)
-  memory: serially, one pass draws and routes every arrival exactly
-  once and demultiplexes it into per-device FIFOs, while the devices
-  advance in lockstep so those FIFOs stay short (see
-  :meth:`ClusterSystem._run_lockstep`).  Plain finite iterables are
-  accepted too, at the cost of materializing them.
-
-Devices are fully independent once lanes are fixed, so ``workers > 1``
-fans the per-device simulations out over a ``ProcessPoolExecutor`` —
-the same worker-process pattern as the sweep runner — and is
-bit-identical to serial execution: a worker either re-receives the
-pickled lane (finite path) or re-derives it by deterministic router
-replay of the source (streamed path, after a counting pass).
+* Serially (``workers == 1``), one pass draws and routes every arrival
+  exactly once and demultiplexes it into per-device FIFOs, while the
+  devices advance in lockstep so those FIFOs stay short (see
+  :meth:`ClusterSystem._run_lockstep`).  Devices nobody routes to are
+  never built.
+* With ``workers > 1``, a counting pass routes the sequence once in
+  the parent (lane sizes, decision telemetry), then each live lane
+  runs in a ``ProcessPoolExecutor`` worker — the same worker-process
+  pattern as the sweep runner — which replays the sequence through a
+  fresh router and keeps its own jobs.  Routing is a deterministic
+  function of (policy, seed, job sequence), so the pool is
+  bit-identical to the serial path.
 
 Determinism: the router's RNG comes from ``derive_router_seed``, and
 :attr:`ClusterSystem.device_seeds` exposes the documented per-device
@@ -40,8 +40,8 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from time import perf_counter
-from typing import (Deque, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, TYPE_CHECKING)
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, TYPE_CHECKING)
 
 from ..config import DEFAULT_CONFIG, SimConfig
 from ..errors import ConfigError, SimulationError
@@ -105,16 +105,18 @@ class ClusterSystem:
         self.device_seeds = tuple(derive_device_seed(seed, d)
                                   for d in range(num_devices))
         # Build eagerly so bad router/scheduler names fail at
-        # construction; finite submissions route through this instance.
+        # construction; every run routes its arrivals through this
+        # instance once (the pool's workers replay their own copies).
         self.router: Router = make_router(router, num_devices,
                                           config.gpu, seed)
         make_scheduler(scheduler, **dict(self.scheduler_args))
         #: Per-device systems, populated by serial execution only.
         self.devices: List[Optional[GPUSystem]] = [None] * num_devices
         self._submitted = False
-        self._mode: Optional[str] = None
-        self._lanes: Optional[List[List[Job]]] = None
-        self._source = None
+        # The arrival sequence: a zero-argument callable that starts it
+        # afresh (``ArrivalSource.jobs`` or a sorted list's
+        # ``__iter__``; both pickle), truncated at ``_max_jobs``.
+        self._jobs: Optional[Callable[[], Iterator[Job]]] = None
         self._max_jobs: Optional[int] = None
         self._lookahead = 1
         self._decision_reasons: Dict[str, int] = {}
@@ -125,33 +127,30 @@ class ClusterSystem:
     # ------------------------------------------------------------------
 
     def submit_workload(self, jobs: Iterable[Job]) -> None:
-        """Route a finite job list into per-device lanes; once."""
+        """Submit a finite job list, replayed in ``(arrival, job_id)``
+        order; once."""
         self._mark_submitted()
         job_list = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
         if not job_list:
             raise SimulationError("empty workload")
-        self._mode = "finite"
-        self._lanes = [[] for _ in range(self.num_devices)]
-        for job in job_list:
-            decision = self.router.route(job, job.arrival)
-            self._record_decision(job, decision)
-            if decision.device != REJECTED:
-                self._lanes[decision.device].append(job)
+        self._jobs = job_list.__iter__
+        self._max_jobs = len(job_list)
 
     def submit_stream(self, jobs, max_jobs: Optional[int] = None,
                       lookahead: int = 1) -> None:
-        """Route a lazy arrival stream; once.
+        """Submit a lazy arrival stream; once.
 
         A replayable :class:`~repro.workloads.streaming.ArrivalSource`
         (``max_jobs`` required) keeps O(live) memory: its arrivals are
-        drawn lazily while the devices run; any other iterable is
-        materialized up front and routed as a finite list.
+        drawn while the devices run.  Any other iterable is finite: its
+        first ``max_jobs`` jobs are submitted as by
+        :meth:`submit_workload`.
         """
-        self._mark_submitted()
         if lookahead < 1:
             raise SimulationError(
                 f"stream lookahead must be >= 1, got {lookahead}")
         if hasattr(jobs, "jobs") and callable(jobs.jobs):
+            self._mark_submitted()
             if max_jobs is None:
                 raise SimulationError(
                     "cluster streaming from an ArrivalSource needs "
@@ -159,16 +158,11 @@ class ClusterSystem:
             if max_jobs < 1:
                 raise SimulationError(
                     f"stream max_jobs must be >= 1, got {max_jobs}")
-            self._mode = "stream"
-            self._source = jobs
+            self._jobs = jobs.jobs
             self._max_jobs = max_jobs
-            self._lookahead = lookahead
         else:
-            self._submitted = False  # re-entering via the finite path
-            stream = iter(jobs)
-            if max_jobs is not None:
-                stream = islice(stream, max_jobs)
-            self.submit_workload(list(stream))
+            self.submit_workload(islice(jobs, max_jobs))
+        self._lookahead = lookahead
 
     def _mark_submitted(self) -> None:
         if self._submitted:
@@ -199,15 +193,7 @@ class ClusterSystem:
                                self.router_name, **fields)
 
     def _arrivals(self) -> Iterator[Job]:
-        return islice(self._source.jobs(), self._max_jobs)
-
-    def _routing_pass(self) -> None:
-        """Pool path's pass 1: route and count, keep no jobs."""
-        router = self.router
-        for job in self._arrivals():
-            self._record_decision(job, router.route(job, job.arrival))
-        if router.routed == 0:
-            raise SimulationError("empty workload")
+        return islice(self._jobs(), self._max_jobs)
 
     # ------------------------------------------------------------------
     # Execution
@@ -226,24 +212,12 @@ class ClusterSystem:
         diagnostics: List[Optional[Dict[str, object]]] = \
             [None] * self.num_devices
         started = perf_counter()
-        if self._mode == "stream" and self.workers == 1:
+        if self.workers == 1:
             self._run_lockstep(per_device, diagnostics)
         else:
-            if self._mode == "stream":
-                self._routing_pass()
-            live = [d for d, size in enumerate(self.router.lane_counts)
-                    if size > 0]
-            if self.workers > 1 and len(live) > 1:
-                payloads = [self._worker_payload(d) for d in live]
-                with ProcessPoolExecutor(
-                        max_workers=min(self.workers, len(live))) as pool:
-                    for index, metrics, diag in pool.map(_device_worker,
-                                                         payloads):
-                        per_device[index] = metrics
-                        diagnostics[index] = diag
-            else:
-                for d in live:
-                    per_device[d], diagnostics[d] = self._run_device(d)
+            self._run_pool(per_device, diagnostics)
+        if self.router.routed == 0:
+            raise SimulationError("empty workload")
         wall = perf_counter() - started
         fleet = ClusterMetrics(
             router=self.router_name, num_devices=self.num_devices,
@@ -262,7 +236,7 @@ class ClusterSystem:
     def _run_lockstep(self, per_device: List[Optional[object]],
                       diagnostics: List[Optional[Dict[str, object]]]
                       ) -> None:
-        """Serial streamed run: every arrival drawn and routed once.
+        """Serial run: every arrival drawn and routed once.
 
         A :class:`_LaneDemux` feeds the devices' lanes.  A device is
         built when its first job is routed (idle devices stay
@@ -276,12 +250,13 @@ class ClusterSystem:
         events of a solo run over its lane.
         """
         demux = _LaneDemux(self)
+        hubs = self.device_telemetry or [None] * self.num_devices
         running: List[int] = []
         wall = [0.0] * self.num_devices
         while True:
             while demux.fresh:
                 index = demux.fresh.popleft()
-                system = self._build_device(index)
+                system = _build_device(self._device_spec(), hubs[index])
                 self.devices[index] = system
                 system.submit_stream(demux.lane(index),
                                      lookahead=self._lookahead)
@@ -296,8 +271,6 @@ class ClusterSystem:
                 begin = perf_counter()
                 self.devices[index].advance(horizon)
                 wall[index] += perf_counter() - begin
-        if self.router.routed == 0:
-            raise SimulationError("empty workload")
         for index in running:
             system = self.devices[index]
             begin = perf_counter()
@@ -306,56 +279,44 @@ class ClusterSystem:
             diagnostics[index] = _device_diagnostics(
                 system, wall[index] + perf_counter() - begin)
 
-    def _build_device(self, index: int) -> GPUSystem:
-        policy = make_scheduler(self.scheduler, **dict(self.scheduler_args))
-        validator = None
-        if self.validate:
-            from ..validation.invariants import InvariantChecker
-            validator = InvariantChecker()
-        telemetry = None
-        if self.device_telemetry is not None:
-            telemetry = self.device_telemetry[index]
-        return GPUSystem(policy, self.config, telemetry=telemetry,
-                         validator=validator, retire=self.retire)
+    def _run_pool(self, per_device: List[Optional[object]],
+                  diagnostics: List[Optional[Dict[str, object]]]) -> None:
+        """Pool run: route once here, then replay each live lane in a
+        worker.
 
-    def _run_device(self, index: int):
-        """Run one lane in-process, to completion.
-
-        A finite lane runs on an inspectable device; a streamed lane
-        gets here only from a pool run left with one live lane, and is
-        replayed exactly as a pool worker would.
+        The counting pass fixes the lane sizes and emits the decision
+        telemetry; lanes cannot cross processes without an assignment
+        table, so every worker re-derives its own from the arrival
+        sequence.  A run whose router sheds every job starts no pool.
         """
-        if self._mode == "stream":
-            _, metrics, diag = _device_worker(self._worker_payload(index))
-            return metrics, diag
-        system = self._build_device(index)
-        self.devices[index] = system
-        system.submit_workload(self._lanes[index])
-        started = perf_counter()
-        metrics = system.run()
-        return metrics, _device_diagnostics(system,
-                                            perf_counter() - started)
-
-    def _worker_payload(self, index: int) -> Dict[str, object]:
-        if self._mode == "finite":
-            workload = ("jobs", self._lanes[index])
-        else:
-            workload = ("stream", self._source, self._max_jobs,
-                        self.router_name, self.seed, self.num_devices)
-        return {
-            "index": index,
-            "scheduler": self.scheduler,
-            "scheduler_args": self.scheduler_args,
-            "config": self.config,
-            "retire": self.retire,
-            "validate": self.validate,
+        router = self.router
+        for job in self._arrivals():
+            self._record_decision(job, router.route(job, job.arrival))
+        live = [d for d, size in enumerate(router.lane_counts) if size > 0]
+        if not live:
+            return
+        payload = {
+            "device": self._device_spec(),
+            "jobs": self._jobs,
+            "max_jobs": self._max_jobs,
             "lookahead": self._lookahead,
-            "workload": workload,
+            "router": (self.router_name, self.num_devices, self.seed),
         }
+        with ProcessPoolExecutor(
+                max_workers=min(self.workers, len(live))) as pool:
+            for index, metrics, diag in pool.map(
+                    _device_worker, [dict(payload, index=d) for d in live]):
+                per_device[index] = metrics
+                diagnostics[index] = diag
+
+    def _device_spec(self) -> tuple:
+        """What :func:`_build_device` needs; plain values that pickle."""
+        return (self.scheduler, self.scheduler_args, self.config,
+                self.retire, self.validate)
 
 
 class _LaneDemux:
-    """One pass over a streamed source, fanned out to per-device FIFOs.
+    """One pass over the arrival sequence, fanned out to per-device FIFOs.
 
     :meth:`pull` draws the next arrival, routes it through the
     cluster's router, records the decision (so router telemetry keeps
@@ -421,32 +382,33 @@ def _device_diagnostics(system: GPUSystem,
     }
 
 
+def _build_device(spec: tuple, telemetry=None) -> GPUSystem:
+    """A fresh device for one lane, from :meth:`ClusterSystem._device_spec`."""
+    scheduler, scheduler_args, config, retire, validate = spec
+    validator = None
+    if validate:
+        from ..validation.invariants import InvariantChecker
+        validator = InvariantChecker()
+    return GPUSystem(make_scheduler(scheduler, **dict(scheduler_args)),
+                     config, telemetry=telemetry, validator=validator,
+                     retire=retire)
+
+
 def _device_worker(payload: Dict[str, object]):
     """Run one device lane in a pool worker; module-level, picklable.
 
     Mirrors the ``harness.runner._pool_worker`` pattern: rebuild
-    everything from the pickled payload, return plain picklable
-    results.
+    everything from the pickled payload, replay the arrival sequence
+    through a fresh router, keep this lane's jobs, return plain
+    picklable results.
     """
     index = payload["index"]
-    policy = make_scheduler(payload["scheduler"],
-                            **dict(payload["scheduler_args"]))
-    validator = None
-    if payload["validate"]:
-        from ..validation.invariants import InvariantChecker
-        validator = InvariantChecker()
-    system = GPUSystem(policy, payload["config"], validator=validator,
-                       retire=payload["retire"])
-    workload = payload["workload"]
-    if workload[0] == "jobs":
-        system.submit_workload(workload[1])
-    else:
-        _, source, max_jobs, router_name, seed, num_devices = workload
-        config = payload["config"]
-        router = make_router(router_name, num_devices, config.gpu, seed)
-        lane = (job for job in islice(source.jobs(), max_jobs)
-                if router.route(job, job.arrival).device == index)
-        system.submit_stream(lane, lookahead=payload["lookahead"])
+    system = _build_device(payload["device"])
+    router_name, num_devices, seed = payload["router"]
+    router = make_router(router_name, num_devices, system.config.gpu, seed)
+    lane = (job for job in islice(payload["jobs"](), payload["max_jobs"])
+            if router.route(job, job.arrival).device == index)
+    system.submit_stream(lane, lookahead=payload["lookahead"])
     started = perf_counter()
     metrics = system.run()
     return index, metrics, _device_diagnostics(system,

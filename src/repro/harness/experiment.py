@@ -145,12 +145,7 @@ def run_cell(spec: ExperimentSpec,
                        validator=validator)
     system.submit_workload(jobs)
     metrics = system.run()
-    diagnostics: Dict[str, object] = {
-        "events_fired": system.sim.events_fired,
-        "wgs_issued": system.dispatcher.wgs_issued,
-        "wgs_preempted": system.dispatcher.wgs_preempted,
-        "host_commands": system.host.commands_sent,
-    }
+    diagnostics = run_diagnostics(system)
     admission = getattr(policy, "admission", None)
     if admission is not None:
         diagnostics["admission_accepted"] = admission.accepted
@@ -164,6 +159,28 @@ def run_cell(spec: ExperimentSpec,
     if not observed:
         _CACHE[key] = result
     return result
+
+
+def run_diagnostics(system: GPUSystem) -> Dict[str, object]:
+    """Device and engine counters of a finished single-device run.
+
+    The ``event_core`` block (committed events plus the scheduler's
+    periodic-tick counts) feeds the report's "Event core" section;
+    bundles written without it simply skip that section.
+    """
+    event_core: Dict[str, object] = {
+        "events_committed": system.sim.events_committed}
+    updater = getattr(system.policy, "_updater", None)
+    if updater is not None:
+        event_core["periodic_ticks_fired"] = updater.ticks_fired
+        event_core["periodic_ticks_elided"] = updater.ticks_elided
+    return {
+        "events_fired": system.sim.events_fired,
+        "wgs_issued": system.dispatcher.wgs_issued,
+        "wgs_preempted": system.dispatcher.wgs_preempted,
+        "host_commands": system.host.commands_sent,
+        "event_core": event_core,
+    }
 
 
 def deadline_counts(benchmark: str, schedulers, rate_level: str = "high",

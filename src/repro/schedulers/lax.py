@@ -101,12 +101,6 @@ class LaxityScheduler(SchedulerPolicy):
         self._admission: Optional[QueuingDelayAdmission] = None
         self._updater: Optional[PeriodicTask] = None
         self.job_table: Optional[JobTable] = None
-        #: Rank epoch: bumped whenever a remaining-time input or the live
-        #: set changes (WG completion, admission, rejection, completion,
-        #: stream append).  Together with the profiling table's own
-        #: ``rank_epoch`` it tells the gated tick whether any WGList walk
-        #: can possibly produce a new value.
-        self.rank_epoch = 0
         self._remaining_cache: Optional[RemainingTimeCache] = None
         #: Struct-of-arrays rank state; ``None`` for host-side variants.
         self._rank_soa: Optional[RankSoA] = None
@@ -212,7 +206,6 @@ class LaxityScheduler(SchedulerPolicy):
     # ------------------------------------------------------------------
 
     def on_job_admitted(self, job: Job) -> None:
-        self.rank_epoch += 1
         kernel = job.next_kernel()
         if kernel is not None:
             # Job is READY here (the CP marks it before this hook) and
@@ -228,7 +221,6 @@ class LaxityScheduler(SchedulerPolicy):
         self._updater.ensure_running()
 
     def on_job_complete(self, job: Job) -> None:
-        self.rank_epoch += 1
         if job.reserve_counted:
             # Defensive: a job cannot complete without issuing, so the
             # serve hook normally cleared this already.
@@ -243,7 +235,6 @@ class LaxityScheduler(SchedulerPolicy):
             self._tracker.finalize_job(job)
 
     def on_job_rejected(self, job: Job) -> None:
-        self.rank_epoch += 1
         if job.reserve_counted:
             # Late (steady-state sweep) rejection of a still-READY job;
             # arrival-time rejects were never counted.
@@ -266,14 +257,10 @@ class LaxityScheduler(SchedulerPolicy):
             self.job_table.remove(job)
 
     def on_wg_complete(self, kernel) -> None:
-        # The kernel already bumped its job's rank_version; this records
-        # that *some* remaining-time input moved since the last tick.
-        self.rank_epoch += 1
         if self._rank_soa is not None:
             self._rank_soa.mark_stale(kernel.job)
 
     def on_job_extended(self, job: Job) -> None:
-        self.rank_epoch += 1
         if self._rank_soa is not None:
             self._rank_soa.mark_stale(job)
 

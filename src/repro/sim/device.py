@@ -9,7 +9,7 @@ harness construct.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, TYPE_CHECKING
+from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 from ..config import DEFAULT_CONFIG, SimConfig
 from ..core.profiling import KernelProfilingTable
@@ -100,15 +100,13 @@ class GPUSystem:
         self._advanced = False
 
     def submit_workload(self, jobs: Iterable[Job]) -> None:
-        """Schedule each job's arrival; may be called once per system."""
-        if self._submitted:
-            raise SimulationError("workload already submitted")
-        self._submitted = True
-        job_list: List[Job] = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
-        if not job_list:
-            raise SimulationError("empty workload")
-        for job in job_list:
-            self.sim.schedule_at(job.arrival, self._arrive, job)
+        """Submit a finite job list; may be called once per system.
+
+        A finite list is a stream in ``(arrival, job_id)`` order: the
+        sorted list goes to :meth:`submit_stream`, so the engine holds
+        one pending arrival at a time rather than the whole list.
+        """
+        self.submit_stream(sorted(jobs, key=lambda j: (j.arrival, j.job_id)))
 
     def submit_stream(self, jobs: Iterable[Job],
                       max_jobs: Optional[int] = None,
@@ -122,9 +120,9 @@ class GPUSystem:
         next job from the generator, so memory holds the live jobs plus
         the look-ahead window instead of the whole workload.  Arrival
         events ride the engine's dedicated arrival lane
-        (:meth:`~repro.sim.engine.Simulator.schedule_arrival`), which
-        makes the run bit-identical to ``submit_workload`` over the same
-        jobs pre-generated as a finite list.
+        (:meth:`~repro.sim.engine.Simulator.schedule_arrival`).  This is
+        the only way arrivals enter a run; :meth:`submit_workload` is
+        this over a list sorted by ``(arrival, job_id)``.
         """
         if self._submitted:
             raise SimulationError("workload already submitted")
@@ -132,10 +130,6 @@ class GPUSystem:
         feeder = StreamFeeder(self, jobs, max_jobs, lookahead)
         feeder.prime()
         return feeder
-
-    def _arrive(self, job: Job) -> None:
-        self.metrics.on_job_arrival(job, self.sim.now)
-        self.policy.on_job_arrival(job)
 
     def run(self) -> RunMetrics:
         """Run the workload to completion and return the run summary."""
@@ -240,7 +234,9 @@ class StreamFeeder:
         return True
 
     def _deliver(self, job: Job) -> None:
-        self._system._arrive(job)
+        system = self._system
+        system.metrics.on_job_arrival(job, system.sim.now)
+        system.policy.on_job_arrival(job)
         self._pull()
 
 

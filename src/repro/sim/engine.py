@@ -177,13 +177,9 @@ class Simulator:
         """Schedule a workload-arrival event at absolute time ``when``.
 
         Arrival events draw sequence numbers from a dedicated negative
-        counter, so at equal timestamps they fire before every
-        device-side event — and among themselves in scheduling order.
-        That reproduces exactly the ordering the finite path gets from
-        ``submit_workload`` scheduling every arrival up front (seqs
-        ``0..n-1``, before any device timer exists), which is what makes
-        a lazily-fed stream bit-identical to the pre-generated list even
-        when an arrival ties with a device event re-armed mid-run.
+        counter, so the lane fires arrivals before device events at tied
+        timestamps — even a device event scheduled earlier — and
+        arrivals among themselves in scheduling order.
         """
         if when < self._now:
             raise SimulationError(

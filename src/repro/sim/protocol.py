@@ -5,7 +5,8 @@ Every tier that runs jobs — the single simulated GPU
 (:class:`~repro.cluster.system.ClusterSystem`) — exposes the same
 surface, so call sites are interchangeable:
 
-* ``submit_workload(jobs)`` — pre-generated finite job list, once;
+* ``submit_workload(jobs)`` — pre-generated finite job list, once; it
+  runs as a stream in ``(arrival, job_id)`` order;
 * ``submit_stream(jobs, max_jobs=, lookahead=)`` — lazy arrival
   stream, once;
 * ``run()`` — drain to completion and return the run summary
@@ -37,7 +38,11 @@ class Device(Protocol):
     """
 
     def submit_workload(self, jobs: Iterable) -> None:
-        """Accept a finite, pre-generated job list; once per device."""
+        """Accept a finite, pre-generated job list; once per device.
+
+        The list is a stream in ``(arrival, job_id)`` order: it runs
+        exactly as ``submit_stream`` over the sorted list.
+        """
         ...  # pragma: no cover - protocol stub
 
     def submit_stream(self, jobs: Iterable, max_jobs: Optional[int] = None,

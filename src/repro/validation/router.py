@@ -7,11 +7,11 @@ The cluster's structural invariant, checked after every fleet run
   device lane or rejected at the router tier — no duplication, no
   loss: ``sum(lane_sizes) + rejected == arrivals``;
 * every device observed exactly its lane: the per-device
-  ``RunMetrics.num_jobs`` equals the jobs routed to it.  On the
-  streamed paths this is the lane guard — if the serial demux lost or
-  duplicated a job between the router and its device, or a pool
-  worker's router replay diverged from the counting pass, the lane
-  the device actually ran would not match the router's ledger.
+  ``RunMetrics.num_jobs`` equals the jobs routed to it.  This is the
+  lane guard — if the serial demux lost or duplicated a job between
+  the router and its device, or a pool worker's router replay
+  diverged from the counting pass, the lane the device actually ran
+  would not match the router's ledger.
 
 Violations raise :class:`~repro.validation.invariants
 .InvariantViolation` with the full ledger in ``context``.

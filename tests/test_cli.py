@@ -101,6 +101,13 @@ class TestEventCoreReport:
         assert "committed events" in out
         assert "periodic ticks" in out
 
+    def test_generated_cell_report_includes_event_core_section(self,
+                                                               capsys):
+        assert main(["report", "--benchmark", "LSTM", "--jobs", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "## Event core" in out
+        assert "periodic ticks" in out
+
     def test_from_bundle_surfaces_counters(self, tmp_path, capsys):
         bundle = str(tmp_path / "bundle")
         assert main(["report", "--benchmark", "SUSTAINED",

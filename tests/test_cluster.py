@@ -14,11 +14,13 @@ The load-bearing properties:
 * **conservation** — every arrival lands in exactly one device lane
   or the router-rejected ledger (``audit_routing`` runs after every
   fleet run);
-* **route once** — a serial streamed run draws and routes every
-  arrival exactly once, however many devices it feeds.
+* **route once** — a serial run, finite or streamed, draws and routes
+  every arrival exactly once, however many devices it feeds.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import pytest
 
@@ -287,14 +289,22 @@ class TestFleetRuns:
             assert metrics.per_device[d] is None
             assert fleet.devices[d] is None
 
-    def test_streamed_fleet_shedding_everything_builds_no_device(self):
-        # A deadline of one tick: the laxity router sheds every arrival.
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("submission", ("finite", "streamed"))
+    def test_streamed_fleet_shedding_everything_builds_no_device(
+            self, submission, workers):
+        # A deadline of one tick: the laxity router sheds every arrival,
+        # so no device is built and the pool path starts no pool.
         hopeless = JobTemplate(
             "SUSTAINED", (SUSTAINED_TINY_KERNEL.descriptor(SimConfig().gpu),),
             deadline=1)
+        source = PoissonSource([hopeless], RATE)
         fleet = ClusterSystem("LAX", SimConfig(), num_devices=4,
-                              router="laxity")
-        fleet.submit_stream(PoissonSource([hopeless], RATE), max_jobs=50)
+                              router="laxity", workers=workers)
+        if submission == "finite":
+            fleet.submit_workload(source.materialize(50))
+        else:
+            fleet.submit_stream(source, max_jobs=50)
         metrics = fleet.run()
         assert metrics.per_device == (None,) * 4
         assert fleet.devices == [None] * 4
@@ -303,9 +313,11 @@ class TestFleetRuns:
 
 
 class TestRouteOnce:
-    """A serial streamed fleet draws and routes each arrival once."""
+    """A serial fleet draws and routes each arrival once."""
 
-    def test_each_arrival_drawn_and_routed_once(self, monkeypatch):
+    @pytest.mark.parametrize("submission", ("finite", "streamed"))
+    def test_each_arrival_drawn_and_routed_once(self, monkeypatch,
+                                                submission):
         routed = []
         route = Router.route
 
@@ -317,7 +329,13 @@ class TestRouteOnce:
         source = _CountingSource(sustained_fleet_source(4, 2 * RATE))
         fleet = ClusterSystem("LAX", SimConfig(), num_devices=4,
                               router="laxity", retire=True)
-        fleet.submit_stream(source, max_jobs=400)
+        if submission == "finite":
+            # Job ids follow arrival order; a reversed list must still
+            # be routed in (arrival, job_id) order.
+            jobs = list(islice(source.jobs(), 400))
+            fleet.submit_workload(reversed(jobs))
+        else:
+            fleet.submit_stream(source, max_jobs=400)
         metrics = fleet.run()
         assert metrics.num_jobs == 400
         assert source.drawn == 400

@@ -189,10 +189,9 @@ def live_heap_count(sim):
 
 class TestEventHeap:
     def test_arrival_lane_precedes_device_events_at_tied_ticks(self):
-        """The negative-seq arrival lane wins every same-tick tie, even
-        when the device event was scheduled first (streamed lookahead=1
-        delivers arrivals from inside handlers, so this ordering is what
-        makes streamed == finite)."""
+        """The negative-seq arrival lane fires arrivals before device
+        events at tied timestamps, even when the device event was
+        scheduled first."""
         fired = fire_plan([(5, "device"), (5, "arrival"), (5, "device"),
                            (5, "arrival")])
         assert [lane for lane, _, _ in fired] == [

@@ -86,3 +86,27 @@ class TestCliWorkloadFiles:
         assert main(["--scheduler", "LAX", "--workload", str(path)]) == 0
         out = capsys.readouterr().out
         assert "jobs meeting deadline" in out
+
+    def test_workload_file_order_does_not_matter(self, tmp_path,
+                                                 monkeypatch, capsys):
+        """``--workload`` sorts the file's jobs by (arrival, job_id), so
+        a file saved in reverse arrival order prints the same table."""
+        import json
+
+        saved = tmp_path / "saved.json"
+        assert main(["--benchmark", "IPV6", "--jobs", "16",
+                     "--save-workload", str(saved)]) == 0
+        data = json.loads(saved.read_text())
+        tables = []
+        for order in ("sorted", "reversed"):
+            if order == "reversed":
+                data["jobs"].reverse()
+            # The same relative path in both runs, so the titles match.
+            (tmp_path / order).mkdir()
+            (tmp_path / order / "w.json").write_text(json.dumps(data))
+            monkeypatch.chdir(tmp_path / order)
+            capsys.readouterr()
+            assert main(["--scheduler", "LAX", "--workload", "w.json"]) == 0
+            tables.append(capsys.readouterr().out)
+        assert "jobs meeting deadline" in tables[0]
+        assert tables[1] == tables[0]

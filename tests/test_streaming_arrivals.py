@@ -93,6 +93,25 @@ class TestPrefixIdentity:
                                              validator=checker()))
         assert streamed == finite
 
+    def test_finite_list_is_a_sorted_stream(self):
+        """``submit_workload`` keeps one arrival pending, not the whole
+        list, and runs exactly as ``submit_stream`` over the list sorted
+        by ``(arrival, job_id)``."""
+        def jobs():
+            # Three jobs share each arrival time, and the list is in
+            # neither arrival nor id order.
+            return [make_job(job_id=(7 * i) % 12, arrival=(i % 4) * 20 * US)
+                    for i in range(12)]
+
+        finite = GPUSystem(make_scheduler("LAX"), SimConfig())
+        finite.submit_workload(jobs())
+        assert finite.sim.pending_events == 1
+        streamed = GPUSystem(make_scheduler("LAX"), SimConfig())
+        streamed.submit_stream(
+            sorted(jobs(), key=lambda job: (job.arrival, job.job_id)))
+        assert _signature(finite, finite.run()) == \
+            _signature(streamed, streamed.run())
+
     def test_lookahead_window_does_not_change_outcomes(self):
         one = _signature(*_streamed_run("LAX", 120, lookahead=1))
         wide = _signature(*_streamed_run("LAX", 120, lookahead=16))
