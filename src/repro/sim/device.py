@@ -162,6 +162,8 @@ class GPUSystem:
                 f"{len(self.pool.backlog)} backlogged jobs; "
                 "a kernel chain stalled")
         end_time = self.metrics.last_completion or self.sim.now
+        if self.trace is not None:
+            self.trace.drain()
         telemetry = self.telemetry
         if telemetry is not None:
             if telemetry.windows is not None:

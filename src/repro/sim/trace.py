@@ -14,10 +14,13 @@ Events land in a :class:`~repro.telemetry.sinks.TelemetrySink`; the
 default :class:`~repro.telemetry.sinks.ListSink` retains the full stream
 in memory (the historical behaviour), while a ring/JSONL/null sink bounds
 the recorder's memory for long runs — see ``docs/observability.md`` for
-the memory model.  Queries (:meth:`TraceRecorder.of_kind`,
-:meth:`~TraceRecorder.job_timeline`, ...) see the *retained* records;
-:meth:`~TraceRecorder.counts` is maintained incrementally and stays exact
-under every sink.
+the memory model.  Emitting builds one tuple and appends it to a pending
+batch; the batch reaches the sink every
+:data:`~repro.telemetry.sinks.DEFAULT_FLUSH_EVERY` events and before
+every read (:meth:`TraceRecorder.drain`).  Queries
+(:meth:`TraceRecorder.of_kind`, :meth:`~TraceRecorder.job_timeline`,
+...) see the *retained* records; :meth:`~TraceRecorder.counts` stays
+exact under every sink.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import json
 import math
 import os
 import shutil
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -45,6 +49,11 @@ EVENT_FIELDS = ("time", "kind", "job_id", "kernel", "detail", "cu", "queue")
 # Hot-path lookup sets (emit runs per event, per WG when wg_events).
 _KNOWN_KINDS = frozenset(EVENT_KINDS)
 _WG_KINDS = frozenset(("wg_issue", "wg_complete"))
+
+# Emit paths build records with the C-level tuple constructor, skipping
+# the named tuple's generated Python __new__; drains count kinds in C.
+_new_record = tuple.__new__
+_record_kind = itemgetter(1)
 
 # json.dumps' own C string escaper: as_json_line must stay
 # byte-identical to json.dumps(as_dict()) for the same values.
@@ -72,8 +81,7 @@ def _scalar(value) -> str:
     return json.dumps(value)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One recorded event."""
 
     time: int
@@ -110,36 +118,86 @@ class TraceEvent:
                    "null" if self.queue is None else self.queue))
 
 
-class TraceRecorder:
-    """Collects trace events during one run.
+class _RecordStream:
+    """The batched hand-off and read side shared by the trace and the
+    decision log (:class:`~repro.telemetry.events.DecisionLog`).
 
     ``sink`` chooses the retention policy (default: an unbounded
     :class:`~repro.telemetry.sinks.ListSink`, the historical list-backed
-    behaviour).  ``events`` exposes the retained records; with the list
-    sink it is the live backing list itself.
+    behaviour).  Emitters append records (tuples whose second field is
+    the kind) to ``_pending``; :meth:`drain` hands the batch to the sink
+    in one call when it reaches the JSONL sink's flush size, and before
+    every read through the stream, so those reads are exact.  A sink
+    read directly lags the emits by less than one batch.
+    """
+
+    def __init__(self, sink=None) -> None:
+        # Deferred import: repro.telemetry's package init imports this
+        # module (hub -> trace), so a module-level import of the sibling
+        # sinks module would be circular.
+        from ..telemetry.sinks import DEFAULT_FLUSH_EVERY, ListSink
+        #: The TelemetrySink receiving every record.
+        self.sink = sink if sink is not None else ListSink()
+        self._batch = DEFAULT_FLUSH_EVERY
+        self._pending: List[tuple] = []
+        self._kind_counts: Counter = Counter()
+
+    def drain(self) -> None:
+        """Hand the pending batch to the sink and count it per kind."""
+        pending = self._pending
+        if pending:
+            self._kind_counts.update(map(_record_kind, pending))
+            self.sink.extend(pending)
+            pending.clear()
+
+    @property
+    def events(self) -> List:
+        """The retained records (the live list under the default sink)."""
+        self.drain()
+        return self.sink.items()
+
+    def counts(self) -> Dict[str, int]:
+        """Number of records per kind, over the *whole* run.
+
+        Folded in at every drain, before the sink sees the batch, so the
+        counts stay exact even when a bounded sink has evicted or
+        spilled the records.
+        """
+        self.drain()
+        return dict(self._kind_counts)
+
+    def to_jsonl(self, path: str) -> int:
+        """Write the records as JSON lines; returns the record count.
+
+        Missing parent directories are created.  Under a JSONL spill
+        sink the full on-disk stream is copied (the in-memory view is
+        empty by design); other sinks write their retained records.
+        """
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        self.drain()
+        if self.sink.kind == "jsonl":
+            self.sink.flush()
+            if os.path.abspath(self.sink.path) != os.path.abspath(path):
+                shutil.copyfile(self.sink.path, path)
+            return self.sink.total
+        with open(path, "w", encoding="utf-8") as sink:
+            for event in self.events:
+                sink.write(json.dumps(event.as_dict()) + "\n")
+        return len(self.events)
+
+
+class TraceRecorder(_RecordStream):
+    """Collects trace events during one run.
+
+    ``events`` exposes the retained records; with the default list sink
+    it is the live backing list itself.  See :class:`_RecordStream` for
+    how events reach the sink.
     """
 
     def __init__(self, wg_events: bool = False, sink=None) -> None:
-        if sink is None:
-            # Deferred import: repro.telemetry's package init imports
-            # this module (hub -> trace), so a module-level import of
-            # the sibling sinks module would be circular.
-            from ..telemetry.sinks import ListSink
-            sink = ListSink()
+        super().__init__(sink)
         #: Record per-WG issue/completion events (large traces).
         self.wg_events = wg_events
-        #: The TelemetrySink receiving every event.
-        self.sink = sink
-        # The list sink's backing append is the plain list.append the
-        # pre-sink recorder used; other sinks pay their own method call.
-        self._append = (sink.records.append if sink.kind == "list"
-                        else sink.append)
-        self._kind_counts: Dict[str, int] = {}
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        """The retained events (the live list under the default sink)."""
-        return self.sink.items()
 
     def replay(self) -> List[TraceEvent]:
         """Every event of the run, reading a JSONL spill back if needed.
@@ -150,6 +208,7 @@ class TraceRecorder:
         returned list is O(run) — this is for post-run export, not the
         hot path.
         """
+        self.drain()
         sink = self.sink
         if sink.kind == "jsonl" and sink.total:
             sink.flush()
@@ -160,27 +219,20 @@ class TraceRecorder:
              kernel: Optional[str] = None,
              detail: Optional[int] = None, cu: Optional[int] = None,
              queue: Optional[int] = None) -> None:
-        """Append one event (kind must be a known kind)."""
+        """Record one event (kind must be a known kind)."""
         if kind not in _KNOWN_KINDS:
             raise SimulationError(f"unknown trace event kind {kind!r}")
         if not self.wg_events and kind in _WG_KINDS:
             return
-        counts = self._kind_counts
-        counts[kind] = counts.get(kind, 0) + 1
-        self._append(TraceEvent(time, kind, job_id, kernel, detail,
-                                cu, queue))
+        pending = self._pending
+        pending.append(_new_record(TraceEvent, (time, kind, job_id, kernel,
+                                                detail, cu, queue)))
+        if len(pending) >= self._batch:
+            self.drain()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def counts(self) -> Dict[str, int]:
-        """Number of events per kind, over the *whole* run.
-
-        Maintained incrementally at emit time, so the counts stay exact
-        even when a bounded sink has evicted or spilled the records.
-        """
-        return dict(self._kind_counts)
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """All retained events of one kind, in time order."""
@@ -193,24 +245,6 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-
-    def to_jsonl(self, path: str) -> int:
-        """Write events as JSON lines; returns the event count.
-
-        Missing parent directories are created.  Under a JSONL spill
-        sink the full on-disk stream is copied (the in-memory view is
-        empty by design); other sinks write their retained records.
-        """
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        if self.sink.kind == "jsonl":
-            self.sink.flush()
-            if os.path.abspath(self.sink.path) != os.path.abspath(path):
-                shutil.copyfile(self.sink.path, path)
-            return self.sink.total
-        with open(path, "w", encoding="utf-8") as sink:
-            for event in self.events:
-                sink.write(json.dumps(event.as_dict()) + "\n")
-        return len(self.events)
 
     def to_csv(self, path: str) -> int:
         """Write retained events as CSV; returns the event count.

@@ -5,7 +5,9 @@ job; the decision log records **why** — every admission verdict with its
 Little's-Law inputs, every 100 us priority reassignment with the laxity
 that drove it, every steady-state eviction and preemption choice.  Events
 are schema-validated at emission time so downstream consumers (the run
-report, the Perfetto exporter, tests) can rely on their fields.
+report, the Perfetto exporter, tests) can rely on their fields.  A log
+validates each ``(kind, field names)`` shape once, the first time it
+sees it; later events of that shape skip straight to the append.
 
 Emission goes through :meth:`repro.schedulers.base.SchedulerPolicy
 .emit_decision` (schedulers) or directly through a :class:`DecisionLog`
@@ -15,15 +17,11 @@ no-op, so disabled telemetry costs one ``is None`` check.
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from ..errors import TelemetryError
-from ..sim.trace import _json_escape, _scalar
-from .sinks import ListSink
+from ..sim.trace import _json_escape, _new_record, _RecordStream, _scalar
 
 #: Schema per decision kind: field name -> required?  Optional fields may
 #: be omitted; unknown fields are rejected.  ``time``, ``kind`` and
@@ -92,14 +90,20 @@ DECISION_SCHEMAS: Dict[str, Dict[str, bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class DecisionEvent:
+#: Read-only default for :attr:`DecisionEvent.fields`, so no two events
+#: can share (and mutate) one default dict.
+_NO_FIELDS: Mapping[str, object] = MappingProxyType({})
+# DecisionLog._shapes marker for a shape not yet validated.
+_UNSEEN = object()
+
+
+class DecisionEvent(NamedTuple):
     """One schema-validated scheduler decision."""
 
     time: int
     kind: str
     scheduler: str
-    fields: Dict[str, object] = field(default_factory=dict)
+    fields: Mapping[str, object] = _NO_FIELDS
 
     def as_dict(self) -> Dict[str, object]:
         """Flat dict form used by the exporters."""
@@ -141,7 +145,7 @@ def validate_decision(kind: str, fields: Dict[str, object]) -> None:
             f"decision {kind!r} has unknown fields {sorted(unknown)}")
 
 
-class DecisionLog:
+class DecisionLog(_RecordStream):
     """Accumulates decision events during one run.
 
     With a registry attached, every emission also bumps the
@@ -149,58 +153,55 @@ class DecisionLog:
     reflects decision volume without replaying the log.
 
     ``sink`` chooses the retention policy (default: an unbounded
-    :class:`~repro.telemetry.sinks.ListSink`, the historical list-backed
-    behaviour); queries see the retained records, :meth:`counts` stays
-    exact under every sink.
+    :class:`~repro.telemetry.sinks.ListSink`); queries see the retained
+    records, :meth:`counts` stays exact under every sink.  Events reach
+    the sink in batches, and every read through the log drains first
+    (see :class:`~repro.sim.trace._RecordStream`).
     """
 
     def __init__(self, registry=None, sink=None) -> None:
-        #: The TelemetrySink receiving every decision event.
-        self.sink = sink if sink is not None else ListSink()
-        self._append = (self.sink.records.append
-                        if self.sink.kind == "list" else self.sink.append)
+        super().__init__(sink)
         self._registry = registry
-        self._counters: Dict[str, object] = {}
-        self._kind_counts: Dict[str, int] = {}
-
-    @property
-    def events(self) -> List[DecisionEvent]:
-        """The retained events (the live list under the default sink)."""
-        return self.sink.items()
+        # Validated (kind, *field names) shapes -> the kind's registry
+        # counter (None without a registry).
+        self._shapes: Dict[tuple, object] = {}
 
     def __len__(self) -> int:
         """Decision events ever emitted (retention-independent)."""
+        self.drain()
         return self.sink.total
 
     def emit(self, time: int, kind: str, scheduler: str,
              **fields: object) -> DecisionEvent:
-        """Validate and append one decision event."""
-        validate_decision(kind, fields)
-        event = DecisionEvent(time=time, kind=kind, scheduler=scheduler,
-                              fields=fields)
-        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-        self._append(event)
-        if self._registry is not None:
-            counter = self._counters.get(kind)
-            if counter is None:
-                counter = self._registry.counter(
-                    "decision_events_total",
-                    "Scheduler decision events recorded.", kind=kind)
-                self._counters[kind] = counter
+        """Validate (once per shape) and record one decision event."""
+        shape = (kind, *fields)
+        counter = self._shapes.get(shape, _UNSEEN)
+        if counter is _UNSEEN:
+            counter = self._admit_shape(shape, kind, fields)
+        event = _new_record(DecisionEvent, (time, kind, scheduler, fields))
+        pending = self._pending
+        pending.append(event)
+        if counter is not None:
             counter.inc()
+        if len(pending) >= self._batch:
+            self.drain()
         return event
+
+    def _admit_shape(self, shape: tuple, kind: str,
+                     fields: Dict[str, object]):
+        """Validate a shape not seen before; returns its counter."""
+        validate_decision(kind, fields)
+        counter = None
+        if self._registry is not None:
+            counter = self._registry.counter(
+                "decision_events_total",
+                "Scheduler decision events recorded.", kind=kind)
+        self._shapes[shape] = counter
+        return counter
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def counts(self) -> Dict[str, int]:
-        """Event count per kind, over the *whole* run.
-
-        Maintained incrementally at emit time, so counts stay exact
-        even when a bounded sink has evicted or spilled the records.
-        """
-        return dict(self._kind_counts)
 
     def of_kind(self, kind: str) -> List[DecisionEvent]:
         """All retained events of one kind, in emission order."""
@@ -213,28 +214,6 @@ class DecisionLog:
         return [event for event in self.events
                 if event.fields.get("job_id") == job_id
                 or event.fields.get("urgent_job_id") == job_id]
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def to_jsonl(self, path: str) -> int:
-        """Write the log as JSON lines; returns the event count.
-
-        Under a JSONL spill sink the full on-disk stream is copied;
-        other sinks write their retained records.
-        """
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        if self.sink.kind == "jsonl":
-            self.sink.flush()
-            if os.path.abspath(self.sink.path) != os.path.abspath(path):
-                shutil.copyfile(self.sink.path, path)
-            return self.sink.total
-        with open(path, "w", encoding="utf-8") as sink:
-            for event in self.events:
-                sink.write(json.dumps(event.as_dict()) + "\n")
-        return len(self.events)
 
 
 def first_admission_verdict(log: DecisionLog,

@@ -111,6 +111,13 @@ class TelemetryHub:
     # Stream lifecycle
     # ------------------------------------------------------------------
 
+    def _drain(self) -> None:
+        # Hand the recorders' pending batches to their sinks, so a sink
+        # read directly sees every event emitted.
+        self.trace.drain()
+        if self.decisions is not None:
+            self.decisions.drain()
+
     def _sinks(self):
         sinks = [self.trace.sink]
         if self.decisions is not None:
@@ -122,17 +129,20 @@ class TelemetryHub:
         return sinks
 
     def flush(self) -> None:
-        """Flush every buffered sink (JSONL spill buffers to disk)."""
+        """Drain the recorders, then flush every sink (JSONL to disk)."""
+        self._drain()
         for sink in self._sinks():
             sink.flush()
 
     def close(self) -> None:
-        """Flush and close every sink; the hub stays queryable."""
+        """Drain, flush and close every sink; the hub stays queryable."""
+        self._drain()
         for sink in self._sinks():
             sink.close()
 
     def sink_summary(self) -> dict:
         """JSON-ready description of every stream's sink state."""
+        self._drain()
         summary = {"spec": self.sink_spec,
                    "events": self.trace.sink.describe()}
         if self.decisions is not None:

@@ -507,8 +507,9 @@ def validate_bundle(directory: str) -> Dict[str, object]:
         raise TelemetryError("metrics.json has an unknown format")
     if not metrics_doc.get("registry"):
         raise TelemetryError("metrics.json registry snapshot is empty")
-    prom_text = open(os.path.join(directory, "metrics.prom"),
-                     encoding="utf-8").read()
+    with open(os.path.join(directory, "metrics.prom"),
+              encoding="utf-8") as source:
+        prom_text = source.read()
     if "# TYPE " not in prom_text:
         raise TelemetryError("metrics.prom has no TYPE headers")
     with open(os.path.join(directory, "report.json"),

@@ -3,8 +3,11 @@
 Every event stream in the telemetry layer — the lifecycle trace
 (:class:`repro.sim.trace.TraceRecorder`), the scheduler decision log
 (:class:`repro.telemetry.events.DecisionLog`) and the self-profiler's
-run records — appends to a :class:`TelemetrySink`.  The sink choice is
-the memory model of the run:
+run records — ends in a :class:`TelemetrySink`.  The two high-volume
+streams hand their records over in batches (:meth:`TelemetrySink
+.extend`, at most :data:`DEFAULT_FLUSH_EVERY` records each); the
+low-volume ones append one record at a time.  The sink choice is the
+memory model of the run:
 
 * :class:`ListSink` — unbounded in-memory list; full post-hoc queries,
   O(run) memory.  The default, and byte-for-byte the pre-sink
@@ -34,7 +37,9 @@ from ..errors import TelemetryError
 
 #: Default ring-buffer capacity (records).
 DEFAULT_RING_CAPACITY = 65536
-#: Records buffered by a JSONL sink before each disk flush.
+#: Records buffered by a JSONL sink before each disk flush; also the
+#: batch size in which the trace and decision recorders hand records to
+#: their sinks.
 DEFAULT_FLUSH_EVERY = 1024
 
 #: Sink spec names :func:`make_sink` understands.
@@ -60,6 +65,11 @@ class TelemetrySink:
     def append(self, record) -> None:
         """Accept one record."""
         raise NotImplementedError
+
+    def extend(self, records: List) -> None:
+        """Accept a batch of records, oldest first."""
+        for record in records:
+            self.append(record)
 
     def items(self) -> List:
         """The retained records, oldest first."""
@@ -96,8 +106,8 @@ class ListSink(TelemetrySink):
     """Unbounded in-memory sink: the pre-sink list, as a sink.
 
     ``records`` is the backing list itself; holders that captured it
-    (e.g. ``TraceRecorder.events``) observe appends live, exactly as the
-    plain-list implementation behaved.
+    (e.g. ``TraceRecorder.events``) observe every batch the recorder
+    hands over, and every event once the recorder has drained.
     """
 
     kind = "list"
@@ -111,6 +121,9 @@ class ListSink(TelemetrySink):
 
     def append(self, record) -> None:
         self.records.append(record)
+
+    def extend(self, records: List) -> None:
+        self.records.extend(records)
 
     def items(self) -> List:
         return self.records
@@ -135,6 +148,10 @@ class RingBufferSink(TelemetrySink):
         self.total += 1
         self.records.append(record)
 
+    def extend(self, records: List) -> None:
+        self.total += len(records)
+        self.records.extend(records)
+
     def items(self) -> List:
         return list(self.records)
 
@@ -150,12 +167,14 @@ class RingBufferSink(TelemetrySink):
 class JsonlSink(TelemetrySink):
     """Incremental spill-to-disk sink: one JSON line per record.
 
-    Appended records are buffered (at most ``flush_every`` of them, so
-    memory stays O(``flush_every``) regardless of run length) and
-    encoded in one batch per flush — ``append`` itself is just a list
-    push, which keeps the streaming sink close to the in-memory list
-    sink on the simulator's hot path.  The file is opened lazily on the
-    first flush and parent directories are created as needed.
+    Appended records are buffered until ``flush_every`` of them wait
+    (one batch handed over by :meth:`extend` may overshoot by less than
+    a batch, so memory stays O(``flush_every``) regardless of run
+    length) and encoded in one batch per flush — ``append`` and
+    ``extend`` themselves are list operations, which keeps the
+    streaming sink close to the in-memory list sink on the simulator's
+    hot path.  The file is opened lazily on the first flush and parent
+    directories are created as needed.
 
     Encoding is resolved from the first flushed record and reused for
     the stream (streams are homogeneous): a record type exposing
@@ -184,6 +203,13 @@ class JsonlSink(TelemetrySink):
         self.total += 1
         buffer = self._buffer
         buffer.append(record)
+        if len(buffer) >= self.flush_every:
+            self.flush()
+
+    def extend(self, records: List) -> None:
+        self.total += len(records)
+        buffer = self._buffer
+        buffer.extend(records)
         if len(buffer) >= self.flush_every:
             self.flush()
 
@@ -255,6 +281,9 @@ class NullSink(TelemetrySink):
 
     def append(self, record) -> None:
         self.total += 1
+
+    def extend(self, records: List) -> None:
+        self.total += len(records)
 
     def items(self) -> List:
         return []

@@ -4,12 +4,20 @@ import json
 
 import pytest
 
+from repro.config import SimConfig
 from repro.errors import TelemetryError
+from repro.schedulers.registry import make_scheduler
+from repro.sim.device import GPUSystem
 from repro.sim.trace import TraceRecorder
+from repro.telemetry import TelemetryHub
 from repro.telemetry.events import DecisionLog
-from repro.telemetry.sinks import (DEFAULT_RING_CAPACITY, JsonlSink,
+from repro.telemetry.sinks import (DEFAULT_FLUSH_EVERY,
+                                   DEFAULT_RING_CAPACITY, JsonlSink,
                                    ListSink, NullSink, RingBufferSink,
                                    make_sink, parse_sink_spec)
+from repro.units import MS, US
+
+from conftest import make_descriptor, make_job
 
 
 class _Record:
@@ -191,3 +199,112 @@ class TestDecisionLogSinks:
         out = tmp_path / "decisions.jsonl"
         assert log.to_jsonl(str(out)) == 1
         assert json.loads(out.read_text())["kind"] == "queue_rotation"
+
+
+def _run_device(trace=None, telemetry=None):
+    """A LAX run emitting a few thousand WG-level trace events."""
+    jobs = [make_job(job_id=i, arrival=(i + 1) * MS, deadline=100 * MS,
+                     descriptors=[make_descriptor(num_wgs=64,
+                                                  wg_work=20 * US)])
+            for i in range(12)]
+    system = GPUSystem(make_scheduler("LAX"), SimConfig(), trace=trace,
+                       telemetry=telemetry)
+    system.submit_workload(jobs)
+    system.run()
+
+
+_TRACE_KINDS = ("job_arrival", "job_admitted", "kernel_complete",
+                "job_complete")
+
+
+def _emit_trace(recorder, i):
+    kind = _TRACE_KINDS[i % len(_TRACE_KINDS)]
+    recorder.emit(i, kind, job_id=i,
+                  kernel="k" if kind == "kernel_complete" else None)
+
+
+def _emit_decision(log, i):
+    if i % 3:
+        log.emit(i, "queue_rotation", "RR", pointer=i, previous=i - 1,
+                 served=True)
+    else:
+        log.emit(i, "priority_update", "LAX", job_id=i, priority=0.5 * i,
+                 previous=None)
+
+
+class TestBatchedHandOff:
+    """Recorders hand records to their sinks in batches of
+    DEFAULT_FLUSH_EVERY and drain before every read through them."""
+
+    def test_bare_recorder_list_complete_after_run(self):
+        trace = TraceRecorder(wg_events=True)
+        events = trace.events
+        _run_device(trace=trace)
+        captured = len(events)  # before any read through the recorder
+        assert captured == sum(trace.counts().values())
+        assert captured > DEFAULT_FLUSH_EVERY  # crossed a batch boundary
+        assert trace.events is events
+
+    def test_hub_lists_complete_after_run(self):
+        hub = TelemetryHub(wg_events=True)
+        events, decisions = hub.trace.events, hub.decisions.events
+        _run_device(telemetry=hub)
+        captured = (len(events), len(decisions))
+        assert captured == (sum(hub.trace.counts().values()),
+                            sum(hub.decisions.counts().values()))
+        assert captured[0] > DEFAULT_FLUSH_EVERY
+        assert captured[1] > 0
+
+    @pytest.mark.parametrize("recorder_type,emit", [
+        (TraceRecorder, _emit_trace), (DecisionLog, _emit_decision)],
+        ids=["trace", "decisions"])
+    def test_bounded_sinks_match_list_sink_at_every_read(
+            self, tmp_path, recorder_type, emit):
+        capacity = 1000
+        reference = recorder_type(sink=ListSink())
+        ring = recorder_type(sink=RingBufferSink(capacity))
+        spill = recorder_type(sink=JsonlSink(str(tmp_path / "s.jsonl")))
+        null = recorder_type(sink=NullSink())
+        recorders = (reference, ring, spill, null)
+        emitted = 0
+        for target in (1, DEFAULT_FLUSH_EVERY, DEFAULT_FLUSH_EVERY + 1):
+            for recorder in recorders:
+                for i in range(emitted, target):
+                    emit(recorder, i)
+            emitted = target
+            # Read straight from the sinks: every sink lags the same
+            # way, by less than one batch.
+            lag = emitted - reference.sink.total
+            assert 0 <= lag < DEFAULT_FLUSH_EVERY
+            assert [r.sink.total for r in recorders] == [emitted - lag] * 4
+            # Reads through the recorders are exact under every sink.
+            counts = reference.counts()
+            assert sum(counts.values()) == emitted
+            for recorder in recorders:
+                assert recorder.counts() == counts
+                assert recorder.sink.total == emitted
+            if recorder_type is DecisionLog:
+                assert [len(r) for r in recorders] == [emitted] * 4
+            everything = reference.events
+            assert len(everything) == emitted
+            assert ring.events == everything[-capacity:]
+            assert spill.events == [] and null.events == []
+            expected = tmp_path / f"list-{emitted}.jsonl"
+            actual = tmp_path / f"spill-{emitted}.jsonl"
+            assert reference.to_jsonl(str(expected)) == emitted
+            assert spill.to_jsonl(str(actual)) == emitted
+            assert actual.read_bytes() == expected.read_bytes()
+        spill.sink.close()
+
+    @pytest.mark.parametrize("recorder_type,emit", [
+        (TraceRecorder, _emit_trace), (DecisionLog, _emit_decision)],
+        ids=["trace", "decisions"])
+    def test_full_batch_reaches_disk_without_a_read(self, tmp_path,
+                                                    recorder_type, emit):
+        path = tmp_path / "s.jsonl"
+        recorder = recorder_type(sink=JsonlSink(str(path)))
+        for i in range(DEFAULT_FLUSH_EVERY):
+            emit(recorder, i)
+        assert recorder.sink.total == DEFAULT_FLUSH_EVERY
+        assert path.read_text().count("\n") == DEFAULT_FLUSH_EVERY
+        recorder.sink.close()

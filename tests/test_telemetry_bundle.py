@@ -1,6 +1,8 @@
 """Perfetto export, self-profiling and the run-report bundle."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -152,6 +154,21 @@ class TestReport:
         assert summary["trace_events"] > 0
         assert summary["registry_metrics"] > 0
         assert summary["post_mortems"] > 0
+
+    @pytest.mark.filterwarnings(
+        "error::ResourceWarning",
+        "error::pytest.PytestUnraisableExceptionWarning")
+    def test_validate_closes_every_file(self, tmp_path):
+        hub, metrics = telemetry_run()
+        directory = str(tmp_path / "bundle")
+        write_bundle(directory, hub, metrics)
+        with warnings.catch_warnings():
+            # Finalize what earlier tests left to the cycle collector,
+            # so only files validate_bundle leaves open can fail this.
+            warnings.simplefilter("ignore", ResourceWarning)
+            gc.collect()
+        validate_bundle(directory)
+        gc.collect()
 
     def test_validate_rejects_incomplete_bundle(self, tmp_path):
         with pytest.raises(TelemetryError):

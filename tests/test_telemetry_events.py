@@ -8,8 +8,9 @@ from repro.config import SimConfig
 from repro.errors import TelemetryError
 from repro.schedulers.registry import make_scheduler
 from repro.sim.device import GPUSystem
-from repro.telemetry import (DECISION_SCHEMAS, DecisionLog, MetricsRegistry,
-                             TelemetryHub, validate_decision)
+from repro.telemetry import (DECISION_SCHEMAS, DecisionEvent, DecisionLog,
+                             MetricsRegistry, TelemetryHub,
+                             validate_decision)
 from repro.units import MS, US
 
 from conftest import make_descriptor, make_job
@@ -65,6 +66,32 @@ class TestDecisionLog:
         log.emit(0, "queue_rotation", "RR", pointer=2, previous=1, served=1)
         assert registry.value("decision_events_total",
                               kind="queue_rotation") == 2
+
+    def test_new_field_set_for_validated_kind_still_raises(self):
+        log = DecisionLog()
+        log.emit(0, "queue_rotation", "RR", pointer=1, previous=0, served=1)
+        for _ in range(2):  # a rejected shape is not remembered as valid
+            with pytest.raises(TelemetryError, match="unknown fields"):
+                log.emit(1, "queue_rotation", "RR", pointer=2, previous=1,
+                         served=1, surprise=True)
+            with pytest.raises(TelemetryError, match="missing required"):
+                log.emit(2, "queue_rotation", "RR", pointer=2, previous=1)
+        assert log.counts() == {"queue_rotation": 1}
+
+    def test_default_fields_are_read_only(self):
+        event = DecisionEvent(0, "queue_rotation", "RR")
+        assert dict(event.fields) == {}
+        with pytest.raises(TypeError):
+            event.fields["pointer"] = 1
+
+    def test_json_line_matches_generic_encoder_for_every_kind(self):
+        values = (7, 2.5e-7, True, 'q"\\\u00e9\n', None, -3, 1e20,
+                  float("inf"), False, 0.1)
+        for kind, schema in DECISION_SCHEMAS.items():
+            fields = {name: values[index % len(values)]
+                      for index, name in enumerate(schema)}
+            event = DecisionEvent(12, kind, "LAX\u2013v", fields)
+            assert event.as_json_line() == json.dumps(event.as_dict()), kind
 
     def test_jsonl_export_creates_parent_dirs(self, tmp_path):
         log = DecisionLog()

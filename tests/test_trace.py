@@ -8,8 +8,8 @@ from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.schedulers.registry import make_scheduler
 from repro.sim.device import GPUSystem
-from repro.sim.trace import (TraceRecorder, occupancy_timeline,
-                             render_occupancy)
+from repro.sim.trace import (EVENT_KINDS, TraceEvent, TraceRecorder,
+                             occupancy_timeline, render_occupancy)
 from repro.units import MS, US
 
 from conftest import make_descriptor, make_job
@@ -87,6 +87,15 @@ class TestRecorder:
 
 
 class TestExport:
+    def test_json_line_matches_generic_encoder_for_every_kind(self):
+        for index, kind in enumerate(EVENT_KINDS):
+            full = TraceEvent(index * 1000, kind, job_id=index,
+                              kernel='k"\\\u00e9\n', detail=index * 3,
+                              cu=index % 4, queue=index % 2)
+            bare = TraceEvent(index, kind)
+            for event in (full, bare):
+                assert event.as_json_line() == json.dumps(event.as_dict())
+
     def test_jsonl_round_trip(self, tmp_path):
         jobs = [make_job(descriptors=[make_descriptor(num_wgs=1,
                                                       wg_work=10 * US)])]
