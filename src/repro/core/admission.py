@@ -23,8 +23,7 @@ everything it might be able to finish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, NamedTuple, Optional, TYPE_CHECKING
 
 from ..sim.job import JobState
 from .laxity import estimate_remaining_time
@@ -34,8 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.job import Job
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
+class AdmissionDecision(NamedTuple):
     """One admission verdict with the Algorithm 1 inputs that produced it.
 
     ``reason`` is one of ``"no_deadline"`` (latency-insensitive, always

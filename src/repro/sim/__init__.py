@@ -10,7 +10,7 @@ from .compute_unit import ComputeUnit, ResidentWG
 from .device import GPUSystem, StreamFeeder, run_workload
 from .dispatcher import WGDispatcher
 from .energy import EnergyMeter
-from .engine import EventHandle, PeriodicTask, Simulator
+from .engine import PeriodicTask, Simulator
 from .host import Host
 from .job import Job, JobState
 from .kernel import KernelDescriptor, KernelInstance, KernelPhase
@@ -26,7 +26,6 @@ __all__ = [
     "ComputeUnit",
     "Device",
     "EnergyMeter",
-    "EventHandle",
     "GPUSystem",
     "Host",
     "Job",

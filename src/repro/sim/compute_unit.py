@@ -37,7 +37,7 @@ from typing import Callable, List, Optional
 from ..config import GPUConfig
 from ..errors import ResourceError, SimulationError
 from .cu_arrays import NO_RESIDENTS
-from .engine import EventHandle, Simulator
+from .engine import Simulator
 from .energy import EnergyMeter
 from .kernel import KernelDescriptor, KernelInstance
 
@@ -86,7 +86,7 @@ class ComputeUnit:
         #: dispatcher can refill the capacity (set by the WG dispatcher).
         self.on_capacity_freed: Optional[Callable[[], None]] = None
         self._residents: List[ResidentWG] = []
-        self._timer: Optional[EventHandle] = None
+        self._timer: Optional[list] = None
         self._last_sync = 0
         # True between issue_wgs and flush_issue: residents were added but
         # the completion timer has not been re-armed yet.
@@ -421,7 +421,7 @@ class ComputeUnit:
         per-WG scan would select.
         """
         if self._timer is not None:
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._timer = None
         residents = self._residents
         if not residents:

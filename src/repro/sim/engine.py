@@ -6,12 +6,19 @@ delay) or :meth:`Simulator.schedule_at` (absolute time).  Events at the same
 timestamp fire in the order they were scheduled (FIFO), which keeps runs
 deterministic.
 
+An event is a plain list ``[when, seq, callback, args]``.  ``heapq``
+orders the heap by comparing the lists in C, and ``seq`` is unique, so a
+comparison is decided by ``(when, seq)`` and never reaches the callback:
+ordering the heap runs no Python code.
+
 :class:`PeriodicTask` re-arms a callback on a fixed period for as long as a
 predicate holds; the schedulers use it for their 100 us / 250 us update
 loops so that no events fire while the device is idle.
 
-Cancellation is tombstone-based: :meth:`EventHandle.cancel` marks the
-entry and the heap skips it on pop.  Components that re-arm a timer on
+Cancellation is tombstone-based: :meth:`Simulator.cancel` sets the
+event's callback slot to None and the heap skips it on pop.  The loop
+clears the same slot of every event it pops to fire, so cancelling an
+event that has fired is a no-op.  Components that re-arm a timer on
 every state change (the compute units) would otherwise grow the heap
 mostly-tombstones on long runs, so the simulator keeps live/cancelled
 counters — making :attr:`Simulator.pending_events` O(1) — and compacts
@@ -29,44 +36,6 @@ from time import perf_counter
 from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
-
-
-class EventHandle:
-    """Handle to a scheduled event; lets the owner cancel it."""
-
-    __slots__ = ("when", "seq", "callback", "args", "cancelled", "sim")
-
-    def __init__(self, when: int, seq: int,
-                 callback: Callable[..., None], args: tuple,
-                 sim: "Optional[Simulator]" = None) -> None:
-        self.when = when
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: Owning simulator, notified on cancel so its live/cancelled
-        #: counters stay O(1)-consistent (None for detached handles).
-        self.sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.sim is not None:
-                self.sim._note_cancelled()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Tuple-free (when, seq) comparison: this runs once per heap
-        # sift level on every push/pop, the innermost loop of the engine.
-        if self.when != other.when:
-            return self.when < other.when
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"<EventHandle t={self.when} {name} {state}>"
-
 
 #: Heaps smaller than this are never compacted (filtering would cost more
 #: than the tombstones it reclaims).
@@ -87,8 +56,13 @@ class Simulator:
     events_coalesced = 0
 
     def __init__(self, max_time: Optional[int] = None) -> None:
-        self._now = 0
-        self._heap: List[EventHandle] = []
+        #: Current simulated time in ticks; the loop assigns it as each
+        #: event fires.
+        self.now = 0
+        #: Events as ``[when, seq, callback, args]`` lists (see the
+        #: module docstring); ``callback`` is None once the event is
+        #: cancelled or has fired.
+        self._heap: List[list] = []
         self._seq = itertools.count()
         self._arrival_seq = itertools.count(_ARRIVAL_SEQ_BASE)
         self._events_fired = 0
@@ -104,11 +78,6 @@ class Simulator:
         #: Optional :class:`~repro.validation.invariants.InvariantChecker`
         #: consulted before each event fires; same off-path discipline.
         self.validator = None
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in ticks."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -129,8 +98,15 @@ class Simulator:
         """Number of queued (non-cancelled) events.  O(1)."""
         return self._pending
 
-    def _note_cancelled(self) -> None:
-        """An owned handle was cancelled; update counters, maybe compact."""
+    def cancel(self, event: list) -> None:
+        """Prevent ``event`` from firing.
+
+        A no-op on an event that was already cancelled or has fired
+        (including one whose callback is running now).
+        """
+        if event[2] is None:
+            return
+        event[2] = None
         self._pending -= 1
         self._cancelled += 1
         if (self._cancelled >= _COMPACT_MIN_TOMBSTONES
@@ -144,36 +120,35 @@ class Simulator:
         list stays valid; (when, seq) ordering is preserved, so the firing
         order — and every downstream result — is unchanged.
         """
-        self._heap[:] = [ev for ev in self._heap if not ev.cancelled]
+        self._heap[:] = [ev for ev in self._heap if ev[2] is not None]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
     def schedule(self, delay: int, callback: Callable[..., None],
-                 *args: Any) -> EventHandle:
+                 *args: Any) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         # Inlined schedule_at (this is the timer hot path; delay >= 0
         # guarantees the when >= now precondition).
-        handle = EventHandle(self._now + delay, next(self._seq), callback,
-                             args, self)
-        heapq.heappush(self._heap, handle)
+        event = [self.now + delay, next(self._seq), callback, args]
+        heapq.heappush(self._heap, event)
         self._pending += 1
-        return handle
+        return event
 
     def schedule_at(self, when: int, callback: Callable[..., None],
-                    *args: Any) -> EventHandle:
+                    *args: Any) -> list:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} before now={self._now}")
-        handle = EventHandle(when, next(self._seq), callback, args, self)
-        heapq.heappush(self._heap, handle)
+                f"cannot schedule at {when} before now={self.now}")
+        event = [when, next(self._seq), callback, args]
+        heapq.heappush(self._heap, event)
         self._pending += 1
-        return handle
+        return event
 
     def schedule_arrival(self, when: int, callback: Callable[..., None],
-                         *args: Any) -> EventHandle:
+                         *args: Any) -> list:
         """Schedule a workload-arrival event at absolute time ``when``.
 
         Arrival events draw sequence numbers from a dedicated negative
@@ -181,14 +156,13 @@ class Simulator:
         timestamps — even a device event scheduled earlier — and
         arrivals among themselves in scheduling order.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} before now={self._now}")
-        handle = EventHandle(when, next(self._arrival_seq), callback, args,
-                             self)
-        heapq.heappush(self._heap, handle)
+                f"cannot schedule at {when} before now={self.now}")
+        event = [when, next(self._arrival_seq), callback, args]
+        heapq.heappush(self._heap, event)
         self._pending += 1
-        return handle
+        return event
 
     def step(self) -> bool:
         """Execute the next pending event.
@@ -198,25 +172,27 @@ class Simulator:
         """
         while self._heap:
             event = heapq.heappop(self._heap)
-            if event.cancelled:
+            when, _, callback, args = event
+            if callback is None:
                 self._cancelled -= 1
                 continue
             self._pending -= 1
-            if self.max_time is not None and event.when > self.max_time:
+            if self.max_time is not None and when > self.max_time:
                 raise SimulationError(
                     f"simulation exceeded max_time={self.max_time} ticks; "
                     "the workload may be livelocked")
             if self.validator is not None:
-                self.validator.on_event(event, self._now)
-            self._now = event.when
+                self.validator.on_event(event, self.now)
+            event[2] = None
+            self.now = when
             self._events_fired += 1
             profiler = self.profiler
             if profiler is None:
-                event.callback(*event.args)
+                callback(*args)
             else:
                 started = perf_counter()
-                event.callback(*event.args)
-                profiler.record(event.callback, perf_counter() - started)
+                callback(*args)
+                profiler.record(callback, perf_counter() - started)
             return True
         return False
 
@@ -244,31 +220,33 @@ class Simulator:
         # Hoisted for the duration of this run(): both sinks are attached
         # at system-build time, before any event fires.
         validator = self.validator
-        profiler = self.profiler
+        record = self.profiler.record if self.profiler is not None else None
         while heap:
             event = pop(heap)
-            if event.cancelled:
+            when, _, callback, args = event
+            if callback is None:
                 self._cancelled -= 1
                 continue
-            if limit is not None and event.when > limit:
-                if until is not None and event.when > until:
+            if limit is not None and when > limit:
+                if until is not None and when > until:
                     heapq.heappush(heap, event)
-                    return self._now
+                    return self.now
                 raise SimulationError(
                     f"simulation exceeded max_time={max_time} ticks; "
                     "the workload may be livelocked")
             self._pending -= 1
             if validator is not None:
-                validator.on_event(event, self._now)
-            self._now = event.when
+                validator.on_event(event, self.now)
+            event[2] = None
+            self.now = when
             self._events_fired += 1
-            if profiler is None:
-                event.callback(*event.args)
+            if record is None:
+                callback(*args)
             else:
                 started = perf_counter()
-                event.callback(*event.args)
-                profiler.record(event.callback, perf_counter() - started)
-        return self._now
+                callback(*args)
+                record(callback, perf_counter() - started)
+        return self.now
 
     def run_until(self, when: int) -> int:
         """Run events up to and including time ``when``.
@@ -277,8 +255,8 @@ class Simulator:
         so subsequent relative scheduling behaves intuitively.
         """
         self.run(until=when)
-        self._now = max(self._now, when)
-        return self._now
+        self.now = max(self.now, when)
+        return self.now
 
 
 class PeriodicTask:
@@ -299,7 +277,7 @@ class PeriodicTask:
         self._period = period
         self._callback = callback
         self._active = active
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[list] = None
         #: Ticks whose callback actually ran.
         self.ticks_fired = 0
         #: Ticks elided: the timer fired but the predicate had gone false,
@@ -311,7 +289,7 @@ class PeriodicTask:
     @property
     def running(self) -> bool:
         """Whether a tick is currently scheduled."""
-        return self._handle is not None and not self._handle.cancelled
+        return self._handle is not None and self._handle[2] is not None
 
     def ensure_running(self) -> None:
         """Start the periodic loop if it is not already pending."""
@@ -322,7 +300,7 @@ class PeriodicTask:
     def stop(self) -> None:
         """Cancel the pending tick, if any."""
         if self._handle is not None:
-            self._handle.cancel()
+            self._sim.cancel(self._handle)
             self._handle = None
 
     def _tick(self) -> None:

@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.compute_unit import ComputeUnit
     from ..sim.device import GPUSystem
     from ..sim.dispatcher import WGDispatcher
-    from ..sim.engine import EventHandle
     from ..sim.job import Job
     from ..sim.kernel import KernelInstance
 
@@ -157,17 +156,19 @@ class InvariantChecker:
     # Engine hook
     # ------------------------------------------------------------------
 
-    def on_event(self, event: "EventHandle", now: int) -> None:
-        """Engine is about to execute ``event``; clock must not rewind."""
+    def on_event(self, event: list, now: int) -> None:
+        """Engine is about to execute ``event`` (a ``[when, seq,
+        callback, args]`` list); clock must not rewind."""
         self._count("clock_monotonic")
-        if event.when < now:
-            name = getattr(event.callback, "__qualname__", "?")
+        when = event[0]
+        if when < now:
+            name = getattr(event[2], "__qualname__", "?")
             self._fail("clock_monotonic",
-                       f"event {name} scheduled at {event.when} fired with "
+                       f"event {name} scheduled at {when} fired with "
                        f"clock already at {now}",
-                       {"event_time": event.when, "clock": now,
+                       {"event_time": when, "clock": now,
                         "callback": name})
-        self._last_event_time = event.when
+        self._last_event_time = when
 
     # ------------------------------------------------------------------
     # Compute-unit hook

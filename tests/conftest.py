@@ -77,7 +77,7 @@ def fire_plan(plan, cancel=()):
                     else sim.schedule_at)
         handles.append(schedule(when, fired.append, (lane, when, index)))
     for index in cancel:
-        handles[index].cancel()
+        sim.cancel(handles[index])
     sim.run()
     return fired
 

@@ -23,7 +23,7 @@ def inject_violation(monkeypatch):
 
     def explode(self, event, now):
         self._fail("clock_monotonic", "injected for the CLI test",
-                   {"event_time": event.when, "clock": now,
+                   {"event_time": event[0], "clock": now,
                     "injected": True})
 
     monkeypatch.setattr(InvariantChecker, "on_event", explode)

@@ -89,22 +89,22 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         handle = sim.schedule(10, fired.append, "x")
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
         assert sim.run() == 0
 
     def test_pending_events_excludes_cancelled(self):
         sim = Simulator()
         sim.schedule(1, lambda: None)
         handle = sim.schedule(2, lambda: None)
-        handle.cancel()
+        sim.cancel(handle)
         assert sim.pending_events == 1
 
 
@@ -154,7 +154,7 @@ class _FiringLog:
         self.fired = []
 
     def on_event(self, event, now):
-        self.fired.append((event.when, event.seq))
+        self.fired.append((event[0], event[1]))
 
 
 def _scripted_sim():
@@ -168,7 +168,7 @@ def _scripted_sim():
     def cancel_burst():
         before = len(sim._heap)
         for handle in doomed:
-            handle.cancel()
+            sim.cancel(handle)
         compactions.append((before, len(sim._heap)))
 
     def spawn(depth):

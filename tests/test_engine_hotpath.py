@@ -11,12 +11,17 @@ module checks the mechanisms underneath it:
 * **Batch-capacity algebra** — ``batch_capacity`` must equal the number
   of consecutive ``can_accept``/``start_wg`` rounds that succeed.
 * **Event heap** — the negative-seq arrival lane wins tied ticks, the
-  O(1) ``pending_events`` counter always agrees with a heap scan, and
-  compaction shrinks the heap without reordering a surviving event
-  (the property test of firing order is in ``test_event_core.py``).
+  O(1) ``pending_events`` counter always agrees with a heap scan,
+  compaction shrinks the heap without reordering a surviving event,
+  cancelling a fired event is a no-op, and ordering the heap runs no
+  Python code (the property test of firing order is in
+  ``test_event_core.py``).
 * **Ready cursor** — a chain job's O(1) cursor returns what the full
   ready scan returns; DAG jobs take the scan.
 """
+
+import collections
+import sys
 
 from hypothesis import given, strategies as st
 
@@ -24,7 +29,7 @@ from repro.config import SimConfig
 from repro.core.profiling import KernelProfilingTable
 from repro.sim.compute_unit import ComputeUnit
 from repro.sim.energy import EnergyMeter
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.job import Job
 from repro.sim.kernel import KernelPhase
 from repro.units import US
@@ -127,7 +132,7 @@ class TestComputeUnitTwins:
         assert cu_a._bw_demand == cu_b._bw_demand
         assert ([wg.remaining for wg in cu_a._residents]
                 == [wg.remaining for wg in cu_b._residents])
-        assert cu_a._timer.when == cu_b._timer.when
+        assert cu_a._timer[0] == cu_b._timer[0]
         assert kernel_a.wgs_issued == kernel_b.wgs_issued == 6
         assert sim_a.run() == sim_b.run()
         assert loop_completions == batch_completions
@@ -184,7 +189,7 @@ class TestBatchCapacity:
 
 def live_heap_count(sim):
     """Live (non-cancelled) events in the engine's heap."""
-    return sum(1 for event in sim._heap if not event.cancelled)
+    return sum(1 for event in sim._heap if event[2] is not None)
 
 
 class TestEventHeap:
@@ -211,8 +216,8 @@ class TestEventHeap:
                    for i in range(60)]
         assert sim.pending_events == live_heap_count(sim) == 60
         for handle in handles[::3]:
-            handle.cancel()
-            handle.cancel()              # idempotent
+            sim.cancel(handle)
+            sim.cancel(handle)           # idempotent
             assert sim.pending_events == live_heap_count(sim)
         for _ in range(25):
             sim.step()
@@ -226,7 +231,7 @@ class TestEventHeap:
         handles = [sim.schedule(delay, fired.append, delay)
                    for delay in range(1, 301)]
         for handle in handles[:200]:
-            handle.cancel()
+            sim.cancel(handle)
         # 200 of 300 tombstoned: compaction must have kicked in.
         assert len(sim._heap) < 300
         assert sim.pending_events == live_heap_count(sim) == 100
@@ -239,18 +244,58 @@ class TestEventHeap:
         sim.schedule(10, fired.append, 10)
         doomed = sim.schedule(20, fired.append, 20)
         sim.schedule(30, fired.append, 30)
-        doomed.cancel()
+        sim.cancel(doomed)
         sim.run_until(25)
         assert fired == [10]
         assert sim.pending_events == live_heap_count(sim) == 1
         sim.run()
         assert fired == [10, 30]
 
-    def test_detached_handle_cancel(self):
-        handle = EventHandle(5, 0, lambda: None, ())
-        handle.cancel()
-        handle.cancel()
-        assert handle.cancelled
+    def test_cancelling_a_fired_event_is_a_noop(self):
+        """A fired event is not a tombstone: cancelling it, after the
+        run or from inside its own callback, moves no counter and never
+        counts toward compaction."""
+        sim = Simulator()
+        fired = [sim.schedule(delay, lambda: None) for delay in range(100)]
+        sim.run()
+        for event in fired:
+            sim.cancel(event)
+        assert sim.pending_events == live_heap_count(sim) == 0
+        assert sim._cancelled == 0
+        own = []
+        own.append(sim.schedule(5, lambda: sim.cancel(own[0])))
+        sim.schedule(10, lambda: None)
+        sim.run(until=sim.now + 5)
+        assert sim.pending_events == live_heap_count(sim) == 1
+        assert sim._cancelled == 0
+        sim.run()
+        assert sim.pending_events == 0 and sim.events_fired == 102
+
+    def test_ordering_events_runs_no_python_code(self):
+        """heapq compares the event lists in C: a run of tied events on
+        both lanes enters no Python frame but the loop and the
+        callbacks."""
+        sim = Simulator()
+
+        def noop():
+            pass
+
+        for index in range(600):
+            schedule = (sim.schedule_arrival if index % 3 == 0
+                        else sim.schedule_at)
+            schedule(index % 5, noop)
+        entered = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            sim.run()
+        finally:
+            sys.setprofile(None)
+        assert dict(entered) == {"run": 1, "noop": 600}
 
 
 # ----------------------------------------------------------------------

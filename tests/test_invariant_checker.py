@@ -15,7 +15,6 @@ import pytest
 from repro.config import SimConfig
 from repro.schedulers.registry import make_scheduler
 from repro.sim.device import GPUSystem
-from repro.sim.engine import EventHandle
 from repro.units import MS, US
 from repro.validation import InvariantChecker, InvariantViolation
 
@@ -84,8 +83,7 @@ class TestCleanRuns:
 class TestViolations:
     def test_clock_monotonicity(self):
         system, checker = start_validated([make_job()])
-        stale = EventHandle(when=system.sim.now - 1, seq=0,
-                            callback=lambda: None, args=())
+        stale = [system.sim.now - 1, 0, lambda: None, ()]
         with pytest.raises(InvariantViolation) as excinfo:
             checker.on_event(stale, system.sim.now)
         violation = excinfo.value

@@ -118,6 +118,7 @@ class TestJsonlSink:
         for i in range(5):
             sink.append(_Record(i))
         assert [r["value"] for r in sink.read_back()] == list(range(5))
+        sink.close()
 
     def test_empty_stream_leaves_valid_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -173,6 +174,7 @@ class TestTraceRecorderSinks:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 5
         assert json.loads(lines[0])["kind"] == "job_arrival"
+        sink.close()
 
     def test_null_sink_drops_but_counts(self):
         trace = TraceRecorder(sink=NullSink())
@@ -199,6 +201,7 @@ class TestDecisionLogSinks:
         out = tmp_path / "decisions.jsonl"
         assert log.to_jsonl(str(out)) == 1
         assert json.loads(out.read_text())["kind"] == "queue_rotation"
+        sink.close()
 
 
 def _run_device(trace=None, telemetry=None):
