@@ -383,13 +383,13 @@ def _make_validator(args):
     return InvariantChecker()
 
 
-def _violation_exit(exc, validator, args) -> int:
+def _violation_exit(exc, validator, args, hub=None) -> int:
     """Report an invariant violation cleanly; exit code 3.
 
     Prints the structured event context line by line, and — when
     ``--emit-telemetry`` was also requested — flushes the checker's
     summary into the bundle directory so the post-mortem has the
-    conservation state on disk.
+    conservation state on disk.  Closes the run's telemetry hub.
     """
     print(f"error: {exc}", file=sys.stderr)
     print(f"  invariant: {exc.invariant}", file=sys.stderr)
@@ -401,6 +401,7 @@ def _violation_exit(exc, validator, args) -> int:
         path = write_validation_summary(args.emit_telemetry,
                                         validator.summary())
         print(f"wrote violation summary to {path}", file=sys.stderr)
+    _close_hub(hub)
     return 3
 
 
@@ -430,6 +431,12 @@ def _sink_note(hub) -> None:
     if "path" in events:
         note += f" -> {events['path']}"
     print(note)
+
+
+def _close_hub(hub) -> None:
+    """Close the hub's sinks (JSONL files) once the run's output is out."""
+    if hub is not None:
+        hub.close()
 
 
 def _export_trace(hub, path: str) -> None:
@@ -496,7 +503,7 @@ def _run_single(args) -> int:
     failure = outcome.failures.get(spec)
     if failure is not None:
         if isinstance(failure.exception, InvariantViolation):
-            return _violation_exit(failure.exception, validator, args)
+            return _violation_exit(failure.exception, validator, args, hub)
         outcome.raise_failures()
     result = outcome.results[spec]
     return _finish_run(args, hub, result.metrics, spec.describe(),
@@ -507,7 +514,7 @@ def _run_single(args) -> int:
 def _finish_run(args, hub, metrics, label: str, diagnostics,
                 validation) -> int:
     """Print a single-device run's table or report, write what it
-    asked for, and return the exit code."""
+    asked for, close the hub and return the exit code."""
     if args.command == "report":
         _print_report(hub, metrics, label, diagnostics,
                       validation=validation)
@@ -520,6 +527,7 @@ def _finish_run(args, hub, metrics, label: str, diagnostics,
         _emit_bundle(args.emit_telemetry, hub, metrics, label, diagnostics,
                      validation=validation)
     _sink_note(hub)
+    _close_hub(hub)
     if validation is not None:
         return _validation_outcome(validation,
                                    quiet=args.command == "report")
@@ -588,7 +596,7 @@ def _run_direct(args) -> int:
     try:
         metrics = system.run()
     except InvariantViolation as exc:
-        return _violation_exit(exc, validator, args)
+        return _violation_exit(exc, validator, args, hub)
     diagnostics = run_diagnostics(system)
     if args.stream is not None:
         diagnostics["jobs_retired"] = \
@@ -768,7 +776,7 @@ def _compare_with_bundles(args) -> int:
             try:
                 result = run_cell(spec, telemetry=hub, validator=validator)
             except InvariantViolation as exc:
-                return _violation_exit(exc, validator, args)
+                return _violation_exit(exc, validator, args, hub)
         else:
             result = run_cell(spec, telemetry=hub)
         metrics = result.metrics
@@ -776,6 +784,7 @@ def _compare_with_bundles(args) -> int:
         _emit_bundle(os.path.join(args.emit_telemetry, name), hub,
                      metrics, spec.describe(), result.diagnostics,
                      validation=validation)
+        _close_hub(hub)
         exit_code = exit_code or _oracle_exit_code(name, validation)
         rows.append(_comparison_row(name, metrics))
     _print_comparison(args, rows)

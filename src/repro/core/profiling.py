@@ -237,20 +237,6 @@ class KernelProfilingTable:
         """Number of kernel types with any observation."""
         return len(self._stats)
 
-    def carryover_pending(self) -> bool:
-        """Whether any type holds completions awaiting a future roll.
-
-        Normally a roll publishes and resets the open window's
-        completions; the boundary-landing edge in :meth:`_KernelStats.
-        close_window` can instead carry them forward, to be published by
-        a *later* roll whose busy time depends on when it runs.  The
-        event-core tick-elision gate must not skip tick-time rolls while
-        such a carryover exists — publishing it earlier or later changes
-        the rate — so it refuses to arm until this drains.
-        """
-        return any(stats.window_completed > 0
-                   for stats in self._stats.values())
-
     # ------------------------------------------------------------------
     # Window roll
     # ------------------------------------------------------------------

@@ -165,12 +165,6 @@ def code_fingerprint(scheduler: str) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def _invalidate_fingerprints() -> None:
-    """Testing hook: force the source digests to be recomputed."""
-    global _FINGERPRINTS
-    _FINGERPRINTS = None
-
-
 # ----------------------------------------------------------------------
 # Key derivation
 # ----------------------------------------------------------------------

@@ -40,11 +40,11 @@ INIT_PRIORITY_MODES = ("highest", "lowest", "estimate")
 
 #: Tabled-job count below which the scalar tick and admission sum beat
 #: the SoA path (numpy's fixed per-op cost dominates tiny arrays) — the
-#: rank-level analogue of ``dispatcher._VEC_MIN_ACTIVE``.  The SUSTAINED
-#: streaming cells retire jobs and hold ~50 live, so they stay on the
-#: scalar path; the 1280-job fleet cell crosses over as soon as its
-#: backlog builds.  Both sides make the same decisions, so the gate is
-#: purely a cost model.
+#: rank-level analogue of ``dispatcher._BUCKETED_MIN_ACTIVE``.  The
+#: SUSTAINED streaming cells retire jobs and hold ~50 live, so they stay
+#: on the scalar path; the 1280-job fleet cell crosses over as soon as
+#: its backlog builds.  Both sides make the same decisions, so the gate
+#: is purely a cost model.
 _VEC_MIN_JOBS = 64
 
 #: Priority order used by the prediction sampler: precomputed attrgetter

@@ -14,6 +14,11 @@ Timing is event-driven: the CU keeps one pending timer armed at the
 earliest WG completion under the current rates; any residency change
 re-syncs remaining work and re-arms the timer.
 
+The CU's integer counters (used and held threads, wavefronts, VGPR and
+LDS, plus the resident list) are the only copy of its occupancy: every
+dispatcher pump reads them through :meth:`ComputeUnit.batch_capacity`
+and :attr:`ComputeUnit.num_residents`.
+
 Two rate facts make the hot paths cheap without changing a single result
 (``docs/performance.md`` walks through both):
 
@@ -36,7 +41,6 @@ from typing import Callable, List, Optional
 
 from ..config import GPUConfig
 from ..errors import ResourceError, SimulationError
-from .cu_arrays import NO_RESIDENTS
 from .engine import Simulator
 from .energy import EnergyMeter
 from .kernel import KernelDescriptor, KernelInstance
@@ -109,55 +113,9 @@ class ComputeUnit:
         #: Optional InvariantChecker auditing occupancy after every
         #: residency change (same off-path pattern as the trace sinks).
         self.validator = None
-        # The dispatcher's occupancy rows this CU writes through to (None
-        # until the dispatcher's first array pump attaches them) and the
-        # maintained min resident CU-concurrency backing
-        # free_full_rate_slots in array form.
-        self._occ = None
-        self._min_conc = NO_RESIDENTS
         # free_full_rate_slots memo, concurrency -> slots: a pure integer
         # function of the resident set, cleared at every residency change.
         self._slots: dict = {}
-
-    # ------------------------------------------------------------------
-    # Occupancy-array mirror
-    # ------------------------------------------------------------------
-
-    def attach_occupancy(self, occ) -> None:
-        """Adopt the dispatcher's occupancy rows and seed this CU's.
-
-        Called once, lazily, by the dispatcher's first array pump;
-        from then on every residency/hold mutation writes the row through
-        so the arrays always equal the scalar counters.
-        """
-        self._occ = occ
-        self._recompute_min_conc()
-        self._occ_write()
-
-    def _occ_write(self) -> None:
-        occ = self._occ
-        if occ is None:
-            return
-        index = self.cu_id
-        occ.free_threads[index] = (self._threads_limit - self.used_threads
-                                   - self._held_threads)
-        occ.free_wavefronts[index] = (self._wavefronts_limit
-                                      - self.used_wavefronts
-                                      - self._held_wavefronts)
-        occ.free_vgpr[index] = (self._vgpr_limit - self.used_vgpr
-                                - self._held_vgpr)
-        occ.free_lds[index] = (self._lds_limit - self.used_lds
-                               - self._held_lds)
-        occ.loads[index] = len(self._residents)
-        occ.min_conc[index] = self._min_conc
-
-    def _recompute_min_conc(self) -> None:
-        """Re-derive the min resident concurrency after evictions."""
-        if self._occ is None:
-            return
-        residents = self._residents
-        self._min_conc = (min(wg.concurrency for wg in residents)
-                          if residents else NO_RESIDENTS)
 
     # ------------------------------------------------------------------
     # Capacity queries
@@ -293,10 +251,6 @@ class ComputeUnit:
         self.used_wavefronts += wg.wavefronts * count
         self.used_vgpr += desc.vgpr_bytes_per_wg * count
         self.used_lds += desc.lds_bytes_per_wg * count
-        if self._occ is not None:
-            if wg.concurrency < self._min_conc:
-                self._min_conc = wg.concurrency
-            self._occ_write()
         self._issue_dirty = True
 
     def flush_issue(self) -> None:
@@ -340,9 +294,6 @@ class ComputeUnit:
             self._held_lds += held_lds
             self._sim.schedule(hold_time, self._release_hold, held_threads,
                                held_wavefronts, held_vgpr, held_lds)
-        if self._occ is not None:
-            self._recompute_min_conc()
-            self._occ_write()
         self._reschedule()
         if self.validator is not None:
             self.validator.on_cu_update(self)
@@ -365,7 +316,6 @@ class ComputeUnit:
         if min(self._held_threads, self._held_wavefronts,
                self._held_vgpr, self._held_lds) < 0:
             raise SimulationError(f"CU{self.cu_id} hold accounting underflow")
-        self._occ_write()
         if self.validator is not None:
             self.validator.on_cu_update(self)
         if self.on_capacity_freed is not None:
@@ -521,9 +471,6 @@ class ComputeUnit:
             self.used_wavefronts -= wg.wavefronts
             self.used_vgpr -= wg.vgpr_bytes
             self.used_lds -= wg.lds_bytes
-        if self._occ is not None:
-            self._recompute_min_conc()
-            self._occ_write()
         self._reschedule()
         if self.validator is not None:
             self.validator.on_cu_update(self)

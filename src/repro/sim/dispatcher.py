@@ -11,25 +11,23 @@ Pumps triggered inside one event timestamp are coalesced into a single
 delay-0 event so bursts of WG completions cost one ranking pass.
 
 Every pump places WGs through one routine, :meth:`WGDispatcher._place`:
-it solves a kernel's placement against integer capacity counters
-(:meth:`ComputeUnit.batch_capacity`, or the occupancy arrays' broadcast
-form), admits every WG bound for a CU in one
-:meth:`ComputeUnit.issue_wgs` call, and leaves each touched CU's timer to
-be re-armed exactly once via :meth:`ComputeUnit.flush_issue` — in the
-order a per-WG issue loop's surviving timer pushes would have happened,
-so the event heap's FIFO tie-breaking is that of issuing one WG at a
-time.  ``docs/performance.md`` has the argument in full.  The three
-pumps differ only in how they walk the ranking:
+it solves a kernel's placement against each CU's integer capacity
+(:meth:`ComputeUnit.batch_capacity`), admits every WG bound for a CU in
+one :meth:`ComputeUnit.issue_wgs` call, and leaves each touched CU's
+timer to be re-armed exactly once via :meth:`ComputeUnit.flush_issue` —
+in the order a per-WG issue loop's surviving timer pushes would have
+happened, so the event heap's FIFO tie-breaking is that of issuing one
+WG at a time.  ``docs/performance.md`` has the argument in full.  The
+three pumps differ only in how they walk the ranking:
 
 * :meth:`~WGDispatcher._pump_single` — one pending kernel (the
   streaming common case): no ranking at all;
 * :meth:`~WGDispatcher._pump_batched` — the general scalar walk over
   the policy's ranking;
-* :meth:`~WGDispatcher._pump_bucketed_vec` — policies that rank with
-  the base ``issue_order``, at :data:`_VEC_MIN_ACTIVE` active kernels
-  and above: capacity comes from
-  :class:`~repro.sim.cu_arrays.CUOccupancyArrays` and a standing
-  shape-bucketed issue order replaces the per-pump ranking.
+* :meth:`~WGDispatcher._pump_bucketed` — policies that rank with the
+  base ``issue_order``, at :data:`_BUCKETED_MIN_ACTIVE` active kernels
+  and above: a standing shape-bucketed issue order replaces the
+  per-pump ranking.
 
 Policies with their own ``issue_order`` (RR, MLFQ, PREMA) take the two
 scalar pumps at every population, as do base-order policies below the
@@ -46,7 +44,6 @@ from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 from ..config import GPUConfig
 from ..errors import SimulationError
 from .compute_unit import ComputeUnit
-from .cu_arrays import CUOccupancyArrays
 from .engine import Simulator
 from .energy import EnergyMeter
 from .kernel import KernelInstance
@@ -54,12 +51,12 @@ from .kernel import KernelInstance
 #: "No kernel seen yet" floor for the monotone threads/WG lower bound.
 _HUGE = 2 ** 62
 
-#: Active-kernel count below which the scalar pumps beat the array ones
-#: (numpy/heap setup per pump dominates tiny active sets).  Streaming
-#: cells that retire jobs hold ~50 active kernels and stay scalar;
-#: backlogged fleet cells cross over at once.  Both sides make the same
-#: decisions, so the gate is purely a cost model.
-_VEC_MIN_ACTIVE = 64
+#: Active-kernel count below which the scalar pumps beat the standing
+#: order (its rebuilds and heap merge cost more than re-ranking a tiny
+#: active set).  Streaming cells that retire jobs hold ~50 active kernels
+#: and stay scalar; backlogged fleet cells cross over at once.  Both sides
+#: make the same decisions, so the gate is purely a cost model.
+_BUCKETED_MIN_ACTIVE = 64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..schedulers.base import SchedulerPolicy
@@ -102,16 +99,12 @@ class WGDispatcher:
         self.wgs_issued = 0
         #: Total preemption evictions performed.
         self.wgs_preempted = 0
-        self._wavefront_size = gpu_config.wavefront_size
-        # Array-pump state: the per-CU occupancy arrays (created lazily by
-        # the first bucketed pump) and a monotone lower bound on
-        # threads/WG over every kernel ever activated, backing the O(1)
-        # saturation fast-out.
-        self._occ: Optional[CUOccupancyArrays] = None
+        # Bucketed-pump state: a monotone lower bound on threads/WG over
+        # every kernel ever activated, backing the saturation fast-out.
         self._min_threads_seen = _HUGE
         self._base_order = False
         self._issue_key = None
-        #: Standing issue order for the bucketed array pump: resource
+        #: Standing issue order for the bucketed pump: resource
         #: shape -> [head_index, sorted [(issue_key, kernel), ...]].
         #: ``None`` means "rebuild from the active set".  Valid only while
         #: every cached key matches its job's current priority and no
@@ -155,7 +148,7 @@ class WGDispatcher:
             raise SimulationError(f"kernel {kernel!r} activated twice")
         kernel.mark_active(self._sim.now)
         # Maintained on every activation (one compare on a cold path) so
-        # the array pump's saturation fast-out can never skip real work.
+        # the bucketed pump's saturation fast-out can never skip real work.
         threads = kernel.descriptor.threads_per_wg
         if threads < self._min_threads_seen:
             self._min_threads_seen = threads
@@ -248,7 +241,7 @@ class WGDispatcher:
         the host's priority-register writes do; admission-time initial
         priorities precede kernel activation and need not.  Cancellation
         and preemption invalidate internally.  A no-op while no order is
-        cached (below the array gate it is never built).
+        cached (below the bucketed gate it is never built).
         """
         if self._order_buckets is not None:
             self.order_invalidations += 1
@@ -290,11 +283,12 @@ class WGDispatcher:
             # Nothing has WGs left to issue.  (No cache to drop — an idle
             # pump never consumes standing-order heads.)
             return
-        if self._base_order and len(self._active) >= _VEC_MIN_ACTIVE:
-            # The O(1) array check replaces the pending list copy, and the
-            # standing shape-bucketed order the per-pump ranking pass.
-            if self._any_capacity_vec():
-                self._pump_bucketed_vec()
+        if self._base_order and len(self._active) >= _BUCKETED_MIN_ACTIVE:
+            # The monotone threads/WG bound replaces the pending list
+            # copy, and the standing shape-bucketed order the per-pump
+            # ranking pass.
+            if self._any_capacity(self._min_threads_seen):
+                self._pump_bucketed()
             return
         if self._order_buckets is not None:
             # Crossing below the gate: the scalar pumps issue WGs without
@@ -302,7 +296,8 @@ class WGDispatcher:
             # a stale cache greet the next crossing back up.
             self.invalidate_order()
         pending = list(self._pending_set)
-        if not self._any_capacity(pending):
+        if not self._any_capacity(
+                min(k.descriptor.threads_per_wg for k in pending)):
             return
         if self._policy is None:
             raise SimulationError("dispatcher has no policy attached")
@@ -513,8 +508,8 @@ class WGDispatcher:
             entry[0] = 0
         insort(entries, item)
 
-    def _pump_bucketed_vec(self) -> None:
-        """Bucketed-merge batched issue (array pump, base order).
+    def _pump_bucketed(self) -> None:
+        """Bucketed-merge batched issue (base order).
 
         Makes :meth:`_pump_batched`'s decisions when the policy ranks with
         the base ``issue_order`` (a pure sort on ``default_issue_key``,
@@ -565,8 +560,8 @@ class WGDispatcher:
         # as the scalar batched pump.
         shape_caps: dict = {}
         touched: List[ComputeUnit] = []
-        occ = self._occ
-        loads = occ.loads.tolist()
+        cus = self.cus
+        loads = [cu.num_residents for cu in cus]
         while heap:
             shape = heappop(heap)[1]
             entry = buckets[shape]
@@ -584,10 +579,8 @@ class WGDispatcher:
                 continue
             caps = shape_caps.get(shape)
             if caps is None:
-                # ``batch_capacity`` of the shape on every CU at once.
-                caps = shape_caps[shape] = occ.capacity(
-                    shape[0], desc.wavefronts_per_wg(self._wavefront_size),
-                    shape[1], shape[2], shape[3], shape[4]).tolist()
+                caps = shape_caps[shape] = [
+                    cu.batch_capacity(desc, shape[4]) for cu in cus]
                 if not any(caps):
                     # Shape blocked: park the bucket (no re-push) until
                     # the next pump.
@@ -625,27 +618,20 @@ class WGDispatcher:
                 pend.pop(kernel, None)
         self._policy.on_kernels_served(served)
 
-    def _any_capacity(self, pending: Sequence[KernelInstance]) -> bool:
-        """Cheap saturation check so no-op pumps exit early."""
-        min_threads = min(k.descriptor.threads_per_wg for k in pending)
+    def _any_capacity(self, min_threads: int) -> bool:
+        """Cheap saturation check so no-op pumps exit early.
+
+        Whether some CU has a free wavefront slot and ``min_threads``
+        free thread slots.  ``min_threads`` must not exceed any pending
+        kernel's threads/WG, so a False never skips a pump that could
+        issue.  The scalar pumps pass the min over the pending kernels.
+        The bucketed pump passes the monotone bound over every kernel
+        ever activated, which needs no pending list and can pass where
+        the pending min would not — a false pass only costs a merge pass
+        that issues nothing (per-shape capacities are exact), never a
+        different decision.
+        """
         for cu in self.cus:
             if cu.free_wavefronts() > 0 and cu.free_threads() >= min_threads:
                 return True
         return False
-
-    def _any_capacity_vec(self) -> bool:
-        """O(1) saturation fast-out over the occupancy arrays.
-
-        Uses the monotone ``threads_per_wg`` lower bound instead of the
-        scalar check's min over *currently pending* kernels, so it can
-        pass where the scalar check would not — a false pass only costs
-        a merge pass that issues nothing (per-shape capacities are
-        exact), never a different decision.  A false *fail* is
-        impossible: the bound never exceeds any pending kernel's
-        threads/WG.
-        """
-        occ = self._occ
-        if occ is None:
-            occ = self._occ = CUOccupancyArrays(self.cus)
-        return bool(((occ.free_wavefronts > 0)
-                     & (occ.free_threads >= self._min_threads_seen)).any())

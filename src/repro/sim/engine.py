@@ -164,38 +164,6 @@ class Simulator:
         self._pending += 1
         return event
 
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns ``False`` when the queue is empty (the clock does not
-        advance), ``True`` otherwise.
-        """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            when, _, callback, args = event
-            if callback is None:
-                self._cancelled -= 1
-                continue
-            self._pending -= 1
-            if self.max_time is not None and when > self.max_time:
-                raise SimulationError(
-                    f"simulation exceeded max_time={self.max_time} ticks; "
-                    "the workload may be livelocked")
-            if self.validator is not None:
-                self.validator.on_event(event, self.now)
-            event[2] = None
-            self.now = when
-            self._events_fired += 1
-            profiler = self.profiler
-            if profiler is None:
-                callback(*args)
-            else:
-                started = perf_counter()
-                callback(*args)
-                profiler.record(callback, perf_counter() - started)
-            return True
-        return False
-
     def run(self, until: Optional[int] = None) -> int:
         """Run until no events remain, or past ``until``; return the time.
 
@@ -204,8 +172,6 @@ class Simulator:
         fired event, so slicing a run into ``run(until=h)`` calls fires
         exactly the sequence of one uninterrupted ``run()``.
 
-        The hot loop inlines :meth:`step` (identical semantics, minus one
-        Python call frame per event — measurable at millions of events).
         ``self._heap`` is mutated in place by :meth:`_compact`, so the
         local binding stays valid across callbacks.
         """

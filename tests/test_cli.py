@@ -66,6 +66,40 @@ class TestTelemetryModes:
         for name in ("RR", "LAX"):
             assert validate_bundle(f"{out}/{name}")["trace_events"] > 0
 
+    @pytest.mark.parametrize("schedulers,hubs_built",
+                             ((["--scheduler", "LAX"], 1),
+                              (["--compare", "LAX", "RR"], 2)),
+                             ids=("single", "compare"))
+    def test_jsonl_sinks_closed_when_main_returns(self, tmp_path, capsys,
+                                                  monkeypatch, schedulers,
+                                                  hubs_built):
+        """Every hub the CLI builds has its JSONL streams written and
+        their files closed by the time ``main`` returns."""
+        import repro.cli
+        from repro.telemetry.sinks import JsonlSink
+        make_hub = repro.cli._make_hub
+        hubs = []
+
+        def capture(*args, **kwargs):
+            hub = make_hub(*args, **kwargs)
+            hubs.append(hub)
+            return hub
+
+        monkeypatch.setattr(repro.cli, "_make_hub", capture)
+        code = main(["--benchmark", "LSTM", "--jobs", "12", "--sink",
+                     "jsonl", "--emit-telemetry", str(tmp_path / "out")]
+                    + schedulers)
+        assert code == 0
+        assert len(hubs) == hubs_built
+        sinks = [sink for hub in hubs for sink in hub._sinks()
+                 if isinstance(sink, JsonlSink)]
+        assert len(sinks) == 3 * len(hubs)
+        for sink in sinks:
+            assert sink.total > 0
+            assert sink._file is None
+            with open(sink.path, encoding="utf-8") as stream:
+                assert sum(1 for _ in stream) == sink.total
+
     def test_trace_with_compare_is_an_error(self, capsys):
         code = main(["--compare", "RR", "LAX", "--trace", "x.jsonl"])
         assert code == 2

@@ -114,9 +114,6 @@ class TestRunControl:
         sim.schedule(99, lambda: None)
         assert sim.run() == 99
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
     def test_run_until_stops_at_boundary(self):
         sim = Simulator()
         fired = []

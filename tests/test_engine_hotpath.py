@@ -212,17 +212,22 @@ class TestEventHeap:
 
     def test_pending_events_matches_heap_scan(self):
         sim = Simulator()
-        handles = [sim.schedule((i * 7) % 13, lambda: None)
-                   for i in range(60)]
+        seen = []
+
+        def check():
+            # Runs inside each fired event: the counter has already
+            # dropped it, and the heap scan must agree.
+            assert sim.pending_events == live_heap_count(sim)
+            seen.append(sim.pending_events)
+
+        handles = [sim.schedule((i * 7) % 13, check) for i in range(60)]
         assert sim.pending_events == live_heap_count(sim) == 60
         for handle in handles[::3]:
             sim.cancel(handle)
             sim.cancel(handle)           # idempotent
             assert sim.pending_events == live_heap_count(sim)
-        for _ in range(25):
-            sim.step()
-            assert sim.pending_events == live_heap_count(sim)
         sim.run()
+        assert seen == list(range(39, -1, -1))
         assert sim.pending_events == live_heap_count(sim) == 0
 
     def test_compaction_shrinks_heap_and_preserves_order(self):

@@ -44,6 +44,7 @@ class TestSinkSwapBitIdentity:
             hub = TelemetryHub(wg_events=True, sink=spec_string,
                                sink_dir=str(tmp_path / spec_string))
             result = run_cell(_spec(), telemetry=hub)
+            hub.close()
             assert _signature(result.metrics) == \
                 _signature(baseline.metrics), spec_string
 
@@ -60,6 +61,7 @@ class TestSinkSwapBitIdentity:
         hub_jsonl = TelemetryHub(wg_events=True, sink="jsonl",
                                  sink_dir=str(tmp_path))
         run_cell(_spec(), telemetry=hub_jsonl)
+        hub_jsonl.close()
         assert hub_jsonl.trace.sink.total == hub_list.trace.sink.total
         assert hub_jsonl.trace.counts() == hub_list.trace.counts()
         spilled = sum(1 for _ in hub_jsonl.trace.sink.read_back())
@@ -76,6 +78,7 @@ class TestFlatMemory:
         run_cell(_spec(num_jobs=num_jobs), telemetry=hub)
         snapshot = tracemalloc.take_snapshot()
         tracemalloc.stop()
+        hub.close()
         telemetry_files = {trace_mod.__file__, sinks_mod.__file__,
                            windows_mod.__file__}
         return sum(stat.size for stat in snapshot.statistics("filename")
@@ -136,15 +139,17 @@ class TestBundleWindows:
                              diagnostics=result.diagnostics)
         assert validate_bundle(directory)["trace_events"] > 0
         assert "windows.jsonl" in paths
-        lines = open(paths["windows.jsonl"]).read().strip().split("\n")
+        with open(paths["windows.jsonl"]) as source:
+            lines = source.read().strip().split("\n")
         assert len(lines) == hub.windows.windows_closed
-        report = json.load(open(os.path.join(directory, "report.json")))
+        with open(os.path.join(directory, "report.json")) as source:
+            report = json.load(source)
         windows_doc = report["windows"]
         assert windows_doc["windows_closed"] == hub.windows.windows_closed
         assert len(windows_doc["series"]) == hub.windows.windows_closed
         assert "monitor" in windows_doc
-        assert "## Windowed metrics" in \
-            open(os.path.join(directory, "report.md")).read()
+        with open(os.path.join(directory, "report.md")) as source:
+            assert "## Windowed metrics" in source.read()
 
     def test_report_without_windows_degrades_gracefully(self):
         hub = TelemetryHub()

@@ -1,18 +1,19 @@
-"""The array sides of the population gates against the scalar sides.
+"""The gated sides of the population gates against the scalar sides.
 
 Both sides of ``lax._VEC_MIN_JOBS`` (the struct-of-arrays tick and
-admission sum) and ``dispatcher._VEC_MIN_ACTIVE`` (the bucketed
-occupancy-array pump) ship, and they must make the same decisions.  The mini cells
-here sit on whichever side the gates put them, so each test forces the
-array side by setting both gates to 1 and the scalar side by raising
-them out of reach, then compares:
+admission sum) and ``dispatcher._BUCKETED_MIN_ACTIVE`` (the bucketed
+pump's standing issue order) ship, and they must make the same
+decisions.  The mini cells here sit on whichever side the gates put
+them, so each test forces the gated side by setting both gates to 1 and
+the scalar side by raising them out of reach, then compares:
 
 * **differential mini-cells** — fleet/LAX with WG tracing, the hybrid
   under a contended stream, SRF's priority-rewriting tick, the
   host-driven LAX-SW priority path and a cold-table LSTM cell;
 * **bucketed-order plumbing** — the standing issue order engages above
-  the gate and not below it, and the invalidation counters move when
-  priorities are rewritten.
+  the gate and not below it, the invalidation counters move when
+  priorities are rewritten, and the bucketed pump's saturation
+  fast-out never skips a pump that could issue.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ _UNREACHABLE = 10 ** 9
 @pytest.fixture
 def vectorized_mode(monkeypatch):
     """``vectorized_mode(True)`` puts both gates at 1 (every tick and
-    pump takes the array side), ``False`` out of reach (scalar side)."""
+    pump takes the gated side), ``False`` out of reach (scalar side)."""
     @contextmanager
     def mode(vectorized):
         gate = 1 if vectorized else _UNREACHABLE
         with monkeypatch.context() as patch:
             patch.setattr("repro.schedulers.lax._VEC_MIN_JOBS", gate)
-            patch.setattr("repro.sim.dispatcher._VEC_MIN_ACTIVE", gate)
+            patch.setattr("repro.sim.dispatcher._BUCKETED_MIN_ACTIVE", gate)
             yield
     return mode
 
@@ -97,13 +98,11 @@ class TestVectorizedDifferential:
     def test_own_issue_order_stream_bit_identical(self, vectorized_mode,
                                                   scheduler):
         """Policies that override ``issue_order`` stay on the scalar
-        pumps above the gate: no occupancy arrays, no bucketed order."""
+        pumps above the gate: no bucketed order."""
         vec = _streamed_run(vectorized_mode, scheduler, True)
         scalar = _streamed_run(vectorized_mode, scheduler, False)
         assert vec[:4] == scalar[:4]
-        dispatcher = vec[4].dispatcher
-        assert dispatcher._occ is None
-        assert dispatcher.bucketed_pumps == 0
+        assert vec[4].dispatcher.bucketed_pumps == 0
 
     def test_srf_tick_bit_identical(self, vectorized_mode):
         """SRF rewrites priorities every tick — the eager invalidation
@@ -173,6 +172,35 @@ class TestBucketedOrder:
         system.run()
         assert system.dispatcher.bucketed_pumps == 0
         assert system.dispatcher.order_rebuilds == 0
+
+    def test_fast_out_never_skips_work_that_could_issue(
+            self, vectorized_mode, monkeypatch):
+        """The bucketed pump's saturation fast-out checks a monotone
+        threads/WG bound, not the pending kernels: it may pass a pump
+        that then issues nothing, but every pump it fails must have had
+        zero capacity for every pending kernel on every CU."""
+        from repro.sim.dispatcher import WGDispatcher
+
+        check = WGDispatcher._any_capacity
+        verdicts = []
+
+        def checked(dispatcher, min_threads):
+            # Above the forced gate every LAX pump is bucketed.
+            assert min_threads == dispatcher._min_threads_seen
+            verdict = check(dispatcher, min_threads)
+            verdicts.append(verdict)
+            if not verdict:
+                for kernel in dispatcher._pending_set:
+                    backfill = dispatcher._backfill_only(kernel)
+                    for cu in dispatcher.cus:
+                        assert cu.batch_capacity(kernel.descriptor,
+                                                 backfill) == 0
+            return verdict
+
+        monkeypatch.setattr(WGDispatcher, "_any_capacity", checked)
+        *_, system = _traced_fleet_run(vectorized_mode, True)
+        assert system.dispatcher.bucketed_pumps > 0
+        assert True in verdicts and False in verdicts
 
     def test_invalidate_order_counts_only_real_drops(self):
         dispatcher = GPUSystem(make_scheduler("LAX"),
