@@ -164,6 +164,10 @@ def _mode_error(args) -> Optional[str]:
                 "command takes an action")
     if args.workers < 1:
         return "--workers must be at least 1"
+    if args.jobs < 1:
+        return "--jobs needs a positive job count"
+    if args.seed < 0:
+        return "--seed must be a non-negative integer"
     from .errors import WorkloadError
     from .workloads.registry import validate_rate_level
     try:
@@ -565,7 +569,18 @@ def _run_direct(args) -> int:
     from .validation import InvariantViolation, audit_run
 
     config = SimConfig()
+    # The jobs the oracles audit.  Retired jobs carry no kernel state,
+    # so a retired stream leaves this empty and the oracles read the
+    # banked stream aggregate instead.
+    jobs: List[object] = []
     if args.workload:
+        from .errors import WorkloadError
+        from .workloads.serialization import load_workload
+        try:
+            jobs = load_workload(args.workload)
+        except (OSError, ValueError, WorkloadError) as exc:
+            print(f"cannot load --workload {args.workload}: {exc}")
+            return 2
         label = f"{args.workload} under {args.scheduler}"
     else:
         label = (f"{args.benchmark}/{args.scheduler}@{args.rate} "
@@ -575,13 +590,7 @@ def _run_direct(args) -> int:
     retire = args.stream is not None and not args.no_retire
     system = GPUSystem(make_scheduler(args.scheduler), config,
                        telemetry=hub, validator=validator, retire=retire)
-    # The jobs the oracles audit.  Retired jobs carry no kernel state,
-    # so a retired stream leaves this empty and the oracles read the
-    # banked stream aggregate instead.
-    jobs: List[object] = []
     if args.workload:
-        from .workloads.serialization import load_workload
-        jobs = load_workload(args.workload)
         system.submit_workload(jobs)
     else:
         from .workloads.registry import benchmark_spec

@@ -312,8 +312,9 @@ class LaxityScheduler(SchedulerPolicy):
                 self._update_priorities_gated()
         finally:
             # Every variant (and its steady-state sweep) rewrites live
-            # priorities; the dispatcher's standing issue order is keyed
-            # by them.
+            # priorities.  The dispatcher's standing issue order is keyed
+            # by them: mark it stale, and its next bucketed pump re-keys
+            # it in place.
             self.ctx.dispatcher.invalidate_order()
 
     def _update_priorities_gated(self) -> None:

@@ -50,5 +50,6 @@ class ShortestRemainingFirstScheduler(SchedulerPolicy):
     def _update_priorities(self) -> None:
         for job in self.ctx.live_jobs():
             job.priority = self._estimate(job)
-        # The dispatcher's standing issue order is keyed by priorities.
+        # The dispatcher's standing issue order is keyed by priorities:
+        # mark it stale so its next bucketed pump re-keys it.
         self.ctx.dispatcher.invalidate_order()

@@ -67,7 +67,7 @@ class CommandProcessor:
         self._parser = _ParserBank(overheads.cp_parse_width,
                                    overheads.cp_parse_period)
         #: Device-side WG scheduler (read by the host's priority-register
-        #: writes to invalidate the dispatcher's standing issue order).
+        #: writes to mark the dispatcher's standing issue order stale).
         self.dispatcher = dispatcher
         #: Optional TraceRecorder mirroring queue-binding and kernel
         #: activations (set by the GPUSystem alongside the other sinks).

@@ -29,6 +29,12 @@ three pumps differ only in how they walk the ranking:
   and above: a standing shape-bucketed issue order replaces the
   per-pump ranking.
 
+The standing order outlives priority rewrites: a rewrite (the LAX and
+SRF ticks, the host's priority-register writes) or a cancellation only
+marks its keys stale, and the next bucketed pump re-keys it in place
+(:meth:`~WGDispatcher._refresh_order`).  Only preemption, which can
+re-pend a consumed head, and crossing below the gate drop it.
+
 Policies with their own ``issue_order`` (RR, MLFQ, PREMA) take the two
 scalar pumps at every population, as do base-order policies below the
 gate.
@@ -52,7 +58,7 @@ from .kernel import KernelInstance
 _HUGE = 2 ** 62
 
 #: Active-kernel count below which the scalar pumps beat the standing
-#: order (its rebuilds and heap merge cost more than re-ranking a tiny
+#: order (its re-keys and heap merge cost more than re-ranking a tiny
 #: active set).  Streaming cells that retire jobs hold ~50 active kernels
 #: and stay scalar; backlogged fleet cells cross over at once.  Both sides
 #: make the same decisions, so the gate is purely a cost model.
@@ -105,29 +111,34 @@ class WGDispatcher:
         self._base_order = False
         self._issue_key = None
         #: Standing issue order for the bucketed pump: resource
-        #: shape -> [head_index, sorted [(issue_key, kernel), ...]].
-        #: ``None`` means "rebuild from the active set".  Valid only while
-        #: every cached key matches its job's current priority and no
-        #: consumed head can become pending again — hence the eager
-        #: :meth:`invalidate_order` calls from priority-writing ticks,
-        #: cancellation and preemption.
+        #: shape -> [head_index, sorted [(issue_key, kernel), ...]], or
+        #: ``None`` when none stands (before the first bucketed pump and
+        #: after a drop).  ``_order_stale`` says its keys may be out of
+        #: date or a bucket may hold a kernel that is no longer pending:
+        #: priority rewrites (:meth:`invalidate_order`) and cancellation
+        #: set it, and the next bucketed pump re-keys the order in place
+        #: (:meth:`_refresh_order`).  Preemption, which can make a
+        #: consumed head pending again, and crossing below the gate drop
+        #: the order instead (:meth:`_drop_order`).
         self._order_buckets: Optional[dict] = None
+        self._order_stale = True
         #: Bucketed-pump accounting (diagnostics; cheap integer adds):
-        #: full sorts of the active set, cache drops while a cache
-        #: existed, and merge pumps run.
+        #: from-scratch builds of the order, in-place re-keys of a stale
+        #: one, drops while an order stood, and merge pumps run.
         self.order_rebuilds = 0
-        self.order_invalidations = 0
+        self.order_refreshes = 0
+        self.order_drops = 0
         self.bucketed_pumps = 0
 
     def attach_policy(self, policy: "SchedulerPolicy") -> None:
         """Set the ranking policy; must happen before any activation."""
         self._policy = policy
-        # The bucketed pump may rank lazily (heap-select instead of a
-        # full sort) only when the policy uses the base issue_order —
-        # a pure sort on default_issue_key, whose (job_id, kernel.index)
-        # suffix makes every key unique, so heap pop order equals sorted
-        # order exactly.  Overriding policies (RR, MLFQ, PREMA) keep
-        # their own ranking verbatim.
+        # The bucketed pump (a heap merge over a standing sorted order)
+        # serves only policies that use the base issue_order — a pure
+        # sort on default_issue_key, whose (job_id, kernel.index) suffix
+        # makes every key unique, so merge pop order equals sorted order
+        # exactly.  Overriding policies (RR, MLFQ, PREMA) keep their own
+        # ranking verbatim.
         from ..schedulers.base import SchedulerPolicy, default_issue_key
         self._base_order = (type(policy).issue_order
                             is SchedulerPolicy.issue_order)
@@ -184,7 +195,7 @@ class WGDispatcher:
         if evicted:
             # Eviction refills the kernel's pending pool, so a bucket head
             # consumed as "fully issued" may be pending again.
-            self.invalidate_order()
+            self._drop_order()
             # Rebuild (rather than append to) the pending set: a kernel
             # re-pended out of order must re-enter at its active-list
             # position.
@@ -226,26 +237,33 @@ class WGDispatcher:
         if kernel in self._active:
             self._active.remove(kernel)
         self._pending_set.pop(kernel, None)
-        # The kernel leaves the active set while still pending; drop the
-        # cached order rather than search it.
+        # The kernel leaves the active set while still pending; the next
+        # refresh drops it from its bucket rather than this searching it.
         self.invalidate_order()
         self.request_pump()
         if self.validator is not None:
             self.validator.on_dispatch(self)
 
     def invalidate_order(self) -> None:
-        """Drop the cached bucketed issue order.
+        """Mark the standing issue order's keys stale.
 
         Must be called by any code that rewrites ``job.priority`` while
         the job's kernels are active — the scheduler ticks (LAX, SRF) and
         the host's priority-register writes do; admission-time initial
         priorities precede kernel activation and need not.  Cancellation
-        and preemption invalidate internally.  A no-op while no order is
-        cached (below the bucketed gate it is never built).
+        calls it too.  The order is kept: the next bucketed pump re-keys
+        it in place (:meth:`_refresh_order`).  One attribute store, so
+        every tick can afford it, with or without an order standing.
         """
+        self._order_stale = True
+
+    def _drop_order(self) -> None:
+        """Drop the standing issue order; the next bucketed pump builds
+        a new one from the pending set.  Counted only if one stood."""
         if self._order_buckets is not None:
-            self.order_invalidations += 1
+            self.order_drops += 1
             self._order_buckets = None
+        self._order_stale = True
 
     # ------------------------------------------------------------------
     # Internals
@@ -292,9 +310,9 @@ class WGDispatcher:
             return
         if self._order_buckets is not None:
             # Crossing below the gate: the scalar pumps issue WGs without
-            # maintaining the standing order, so drop it rather than let
-            # a stale cache greet the next crossing back up.
-            self.invalidate_order()
+            # consuming bucket heads, so drop the order rather than let
+            # it greet the next crossing back up.
+            self._drop_order()
         pending = list(self._pending_set)
         if not self._any_capacity(
                 min(k.descriptor.threads_per_wg for k in pending)):
@@ -475,12 +493,51 @@ class WGDispatcher:
                 desc.lds_bytes_per_wg, desc.cu_concurrency,
                 self._backfill_only(kernel))
 
-    def _build_order_buckets(self) -> dict:
-        """Rebuild the standing issue order from the active set."""
+    def _refresh_order(self) -> dict:
+        """Bring the standing issue order up to date and return it.
+
+        With no order standing it places every kernel of the pending
+        set.  A stale order is re-keyed in place: each bucket keeps the
+        kernels still pending and recomputes their keys in the old
+        order, a kernel whose backfill flag flipped moves to the bucket
+        of its new shape, and then every bucket is sorted.  Laxities
+        move nearly in step from one tick to the next, so the old order
+        is nearly the new one and the sorts run over almost-sorted
+        lists.  Either way each bucket ends up holding exactly the
+        pending kernels of its shape, sorted by current key.
+        """
         issue_key = self._issue_key
+        pending = self._pending_set
+        buckets = self._order_buckets
+        if buckets is None:
+            buckets = self._order_buckets = {}
+            moved = pending
+            self.order_rebuilds += 1
+        else:
+            moved = []
+            # Only a job parked at or lifted from infinite priority
+            # changes a kernel's shape, and only under greedy occupancy
+            # (``_backfill_only``, inlined).
+            greedy = self._config.greedy_occupancy
+            isinf = math.isinf
+            for shape, entry in list(buckets.items()):
+                backfill = shape[4]
+                kept = []
+                for _, kernel in entry[1][entry[0]:]:
+                    if kernel in pending:
+                        if (greedy
+                                and isinf(kernel.job.priority) != backfill):
+                            moved.append(kernel)
+                        else:
+                            kept.append((issue_key(kernel), kernel))
+                if kept:
+                    entry[0] = 0
+                    entry[1] = kept
+                else:
+                    del buckets[shape]
+            self.order_refreshes += 1
         shape_of = self._kernel_shape
-        buckets: dict = {}
-        for kernel in self._active:
+        for kernel in moved:
             shape = shape_of(kernel)
             entry = buckets.get(shape)
             if entry is None:
@@ -488,8 +545,7 @@ class WGDispatcher:
             entry[1].append((issue_key(kernel), kernel))
         for entry in buckets.values():
             entry[1].sort()
-        self._order_buckets = buckets
-        self.order_rebuilds += 1
+        self._order_stale = False
         return buckets
 
     def _bucket_insert(self, buckets: dict, kernel: KernelInstance) -> None:
@@ -519,31 +575,34 @@ class WGDispatcher:
         placement resource shape, and each pump runs a k-way merge over
         the bucket *heads*:
 
-        * cached keys always equal fresh keys — every ``job.priority``
-          rewrite that can touch an active kernel invalidates the cache
-          (scheduler ticks via :meth:`invalidate_order`; cancellation and
-          preemption internally), and the remaining key fields
-          (``start_time``/arrival, ids) are frozen before activation;
-        * a head is consumed permanently only when it stops being pending
-          (fully issued or finished) — monotone within the cache's
-          lifetime because the one event that refills a pending pool,
-          preemption, invalidates — so skipped entries are exactly the
-          kernels the scalar pending set drops;
+        * the merge reads only current keys — every ``job.priority``
+          rewrite that can touch an active kernel, and every
+          cancellation, marks the order stale (:meth:`invalidate_order`)
+          and the pump re-keys it first (:meth:`_refresh_order`); the
+          remaining key fields (``start_time``/arrival, ids) are frozen
+          before activation;
+        * every head the merge pops is pending: a refresh keeps only
+          pending kernels, activation inserts pending ones, and while
+          the order stands a kernel stops being pending only by being
+          fully issued here, which consumes it as the bucket's head
+          (cancellation marks the order stale; preemption, the one
+          event that refills a pending pool, drops it);
         * a head whose shape has no capacity parks its whole bucket for
           the rest of the pump — exactly the scalar loop's
           ``blocked_shapes`` skip, which drops every later same-shape
           kernel anyway (resources only shrink within a pump);
         * therefore the merge pops pending heads in global key order
-          restricted to unparked shapes: any kernel ranked ahead of a
-          popped head is either non-pending (its bucket advanced past it)
-          or same-shape-parked — precisely the kernels the full sorted
-          walk would skip — so the admission sequence is identical.
+          restricted to unparked shapes: any pending kernel ranked ahead
+          of a popped head is same-shape-parked — precisely the kernels
+          the full sorted walk would skip — so the admission sequence is
+          identical.
 
         Per-pump work collapses from O(active) to O(admissions + shapes).
         """
-        buckets = self._order_buckets
-        if buckets is None:
-            buckets = self._build_order_buckets()
+        if self._order_stale:
+            buckets = self._refresh_order()
+        else:
+            buckets = self._order_buckets
         heap = []
         for shape, entry in buckets.items():
             index, entries = entry
@@ -568,17 +627,9 @@ class WGDispatcher:
             index = entry[0]
             entries = entry[1]
             kernel = entries[index][1]
-            desc = kernel.descriptor
-            if kernel.wgs_issued >= desc.num_wgs:
-                # Permanently non-pending: consume the head and surface
-                # the bucket's next kernel.
-                index += 1
-                entry[0] = index
-                if index < len(entries):
-                    heappush(heap, (entries[index][0], shape))
-                continue
             caps = shape_caps.get(shape)
             if caps is None:
+                desc = kernel.descriptor
                 caps = shape_caps[shape] = [
                     cu.batch_capacity(desc, shape[4]) for cu in cus]
                 if not any(caps):
@@ -593,7 +644,8 @@ class WGDispatcher:
                 shape_caps = {shape: caps}
             served.append(kernel)
             if issued == want:
-                # Fully issued: consume the head.
+                # Fully issued: consume the head and surface the
+                # bucket's next kernel.
                 index += 1
                 entry[0] = index
                 if index < len(entries):

@@ -127,5 +127,6 @@ class Host:
         if job.is_done:
             return
         job.priority = priority
-        # The register write may reorder the job's active kernels.
+        # The register write may reorder the job's active kernels: mark
+        # the standing issue order stale so the next pump re-keys it.
         self._cp.dispatcher.invalidate_order()

@@ -296,12 +296,22 @@ def parse_sink_spec(spec: str) -> tuple:
     """Split a sink spec string into ``(kind, arg)``.
 
     ``"ring:4096"`` -> ``("ring", "4096")``; ``"list"`` -> ``("list",
-    None)``.  Raises :class:`TelemetryError` on unknown kinds.
+    None)``.  Raises :class:`TelemetryError` on unknown kinds and on a
+    ring capacity that is not a positive integer.
     """
     kind, _, arg = spec.partition(":")
     if kind not in SINK_KINDS:
         raise TelemetryError(
             f"unknown sink kind {kind!r}; known: {', '.join(SINK_KINDS)}")
+    if kind == "ring" and arg:
+        try:
+            capacity = int(arg)
+        except ValueError:
+            raise TelemetryError(
+                f"ring sink capacity must be an integer, got {arg!r}"
+            ) from None
+        if capacity <= 0:
+            raise TelemetryError("ring sink capacity must be positive")
     return kind, (arg or None)
 
 
@@ -322,14 +332,7 @@ def make_sink(spec: str = "list", *, stream: str = "events",
     if kind == "null":
         return NullSink()
     if kind == "ring":
-        if arg is None:
-            return RingBufferSink()
-        try:
-            capacity = int(arg)
-        except ValueError:
-            raise TelemetryError(
-                f"ring sink capacity must be an integer, got {arg!r}")
-        return RingBufferSink(capacity)
+        return RingBufferSink() if arg is None else RingBufferSink(int(arg))
     target = arg if arg is not None else directory
     if target is None:
         raise TelemetryError(

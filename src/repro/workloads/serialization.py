@@ -82,9 +82,10 @@ def workload_to_dict(jobs: Iterable[Job]) -> Dict:
 
 def workload_from_dict(data: Dict) -> List[Job]:
     """Rebuild a job list from :func:`workload_to_dict` output."""
-    if data.get("format") != FORMAT_TAG:
+    tag = data.get("format") if isinstance(data, dict) else None
+    if tag != FORMAT_TAG:
         raise WorkloadError(
-            f"unsupported workload format {data.get('format')!r}; "
+            f"unsupported workload format {tag!r}; "
             f"expected {FORMAT_TAG!r}")
     descriptors = {
         name: KernelDescriptor(name=name, **fields)

@@ -31,6 +31,48 @@ class TestCli:
             main(["--scheduler", "FIFO"])
 
 
+class TestBadInput:
+    """Bad numbers and unreadable workload files end the run with exit
+    code 2 and a single line, never a traceback."""
+
+    CASES = {
+        "jobs-zero-run": ["--jobs", "0"],
+        "jobs-negative-compare": ["--jobs", "-3", "--compare", "LAX", "RR"],
+        "jobs-zero-devices": ["--jobs", "0", "--devices", "2"],
+        "jobs-negative-report": ["report", "--jobs", "-3"],
+        "jobs-zero-save-workload": ["--jobs", "0",
+                                    "--save-workload", "w.json"],
+        "seed-negative-run": ["--seed", "-1", "--jobs", "4"],
+        "seed-negative-stream": ["--seed", "-1", "--benchmark",
+                                 "SUSTAINED", "--stream", "10"],
+        "seed-negative-devices": ["--seed", "-1", "--jobs", "4",
+                                  "--devices", "2"],
+        "seed-negative-compare-workers": [
+            "--seed", "-1", "--jobs", "4", "--compare", "LAX", "RR",
+            "--workers", "2", "--no-cache"],
+        "sink-ring-zero": ["--sink", "ring:0", "--jobs", "4"],
+        "sink-ring-not-a-number": ["--sink", "ring:abc", "--jobs", "4"],
+        "workload-missing": ["--workload", "missing.json"],
+        "workload-not-json": ["--workload", "not-json.json"],
+        "workload-no-format": ["--workload", "no-format.json"],
+        "workload-not-an-object": ["--workload", "list.json"],
+    }
+
+    @pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
+    def test_rejected_with_one_line(self, argv, tmp_path, monkeypatch,
+                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        (tmp_path / "not-json.json").write_text("not json")
+        (tmp_path / "no-format.json").write_text('{"jobs": []}')
+        (tmp_path / "list.json").write_text("[1, 2]")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert len(lines) == 1, lines
+        assert "Traceback" not in lines[0]
+
+
 class TestTelemetryModes:
     def test_emit_telemetry_writes_valid_bundle(self, tmp_path, capsys):
         out = str(tmp_path / "bundle")

@@ -6,6 +6,12 @@ mismatch the assertion names the fields that moved, with the recorded
 and the current value, so a failure says *what* changed (admission
 counters, a WG count, the clock, or only the trace bytes) before anyone
 has to diff a trace.
+
+Every cell runs twice: under the population gates as recorded, and on
+the gated side (``<cell>-gated``), with ``lax._VEC_MIN_JOBS`` and
+``dispatcher._BUCKETED_MIN_ACTIVE`` at 1 so every base-order policy
+takes the array tick, the array admission sum and the bucketed pump from
+the first job on.  Both must reproduce the recorded decisions.
 """
 
 from __future__ import annotations
@@ -44,8 +50,15 @@ def test_corpus_covers_the_matrix():
     assert sorted(CORPUS) == sorted(CELLS)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_cell_matches_corpus(name):
+@pytest.mark.parametrize(
+    "name, gated",
+    [pytest.param(name, False, id=name) for name in sorted(CORPUS)]
+    + [pytest.param(name, True, id=f"{name}-gated")
+       for name in sorted(CORPUS)])
+def test_cell_matches_corpus(name, gated, monkeypatch):
+    if gated:
+        monkeypatch.setattr("repro.schedulers.lax._VEC_MIN_JOBS", 1)
+        monkeypatch.setattr("repro.sim.dispatcher._BUCKETED_MIN_ACTIVE", 1)
     current = json.loads(json.dumps(CELLS[name]()))
     moved = [entry for entry in _moved(CORPUS[name], current)
              if entry[0] != "digest"]

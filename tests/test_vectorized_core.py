@@ -9,15 +9,19 @@ the scalar side by raising them out of reach, then compares:
 
 * **differential mini-cells** — fleet/LAX with WG tracing, the hybrid
   under a contended stream, SRF's priority-rewriting tick, the
-  host-driven LAX-SW priority path and a cold-table LSTM cell;
+  host-driven LAX-SW priority path and a cold-table LSTM cell, with
+  and without admission control (without it, written-off jobs flip to
+  backfill and the refresh must move their kernels between buckets);
 * **bucketed-order plumbing** — the standing issue order engages above
-  the gate and not below it, the invalidation counters move when
-  priorities are rewritten, and the bucketed pump's saturation
-  fast-out never skips a pump that could issue.
+  the gate and not below it; priority rewrites and cancellations keep
+  it and the next pump re-keys it in place, while preemption and gate
+  crossing drop it; and the bucketed pump's saturation fast-out never
+  skips a pump that could issue.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from contextlib import contextmanager
 
@@ -83,6 +87,13 @@ def _streamed_run(vectorized_mode, scheduler, vectorized, num_jobs=80):
             system.sim.events_fired, system.sim.now, system)
 
 
+def _bucket_of(buckets):
+    """kernel -> shape over the unconsumed entries of a standing order."""
+    return {kernel: shape
+            for shape, (index, entries) in (buckets or {}).items()
+            for _, kernel in entries[index:]}
+
+
 class TestVectorizedDifferential:
     def test_fleet_lax_bit_identical(self, vectorized_mode):
         vec = _traced_fleet_run(vectorized_mode, True)
@@ -119,7 +130,8 @@ class TestVectorizedDifferential:
         scalar = _streamed_run(vectorized_mode, "LAX-SW", False)
         assert vec[:4] == scalar[:4]
 
-    def test_cold_table_volatile_types_bit_identical(self, vectorized_mode):
+    def test_cold_table_volatile_types_bit_identical(self, vectorized_mode,
+                                                     monkeypatch):
         """Regression: a cold profiling table keeps kernel types volatile
         (observations but no published rate), so every cache sync drops
         their jobs' estimates and ``on_invalidated`` marks those rank-SoA
@@ -128,18 +140,44 @@ class TestVectorizedDifferential:
         staleness — reading it first missed those invalidations and
         diverged from the scalar ``total_outstanding_time`` loop (caught
         on the LSTM hot-path cell, which starts cold; the fleet cells
-        never see it because ``warm_table`` pre-publishes rates)."""
-        from repro import build_workload, run_workload
+        never see it because ``warm_table`` pre-publishes rates).
 
-        def digest(vectorized):
+        The second input runs the cell without admission control.  Jobs
+        past their deadline are then not late-rejected: LAX writes them
+        off at infinite priority and their kernels turn backfill-only,
+        another resource shape, so an in-place refresh of the standing
+        order must move each to its new shape's bucket.  The wrapped
+        refresh checks that one did; without the move the gated side
+        diverges."""
+        from repro import build_workload, run_workload
+        from repro.sim.dispatcher import WGDispatcher
+
+        refresh = WGDispatcher._refresh_order
+        moved = []
+
+        def watched(dispatcher):
+            before = _bucket_of(dispatcher._order_buckets)
+            buckets = refresh(dispatcher)
+            after = _bucket_of(buckets)
+            moved.extend(kernel for kernel, shape in after.items()
+                         if before.get(kernel, shape) != shape)
+            return buckets
+
+        monkeypatch.setattr(WGDispatcher, "_refresh_order", watched)
+
+        def digest(vectorized, **options):
             jobs = build_workload("LSTM", rate_level="high", num_jobs=32,
                                   seed=1, gpu=SimConfig().gpu)
             with vectorized_mode(vectorized):
-                metrics = run_workload(make_scheduler("LAX"), jobs)
+                metrics = run_workload(make_scheduler("LAX", **options),
+                                       jobs)
             return [(o.job_id, o.accepted, o.completion, o.wgs_executed,
                      o.met_deadline) for o in metrics.outcomes]
 
-        assert digest(True) == digest(False)
+        for options in ({}, {"enable_admission": False}):
+            assert digest(True, **options) == digest(False, **options)
+        # Only the second input writes off jobs whose kernels are active.
+        assert moved
 
 
 class TestBucketedOrder:
@@ -154,10 +192,15 @@ class TestBucketedOrder:
         assert scalar_system.dispatcher.order_rebuilds == 0
 
     def test_priority_ticks_invalidate(self, vectorized_mode):
-        """The LAX tick rewrites priorities, so a run with ticks must
-        have dropped the standing order at least once."""
+        """The LAX tick rewrites priorities every 100 us.  Each tick only
+        marks the standing order stale and the next bucketed pump re-keys
+        it in place, so a gated run refreshes the order many times and
+        builds it from scratch only after a drop (besides the first
+        build)."""
         *_, system = _traced_fleet_run(vectorized_mode, True, num_jobs=48)
-        assert system.dispatcher.order_invalidations > 0
+        dispatcher = system.dispatcher
+        assert dispatcher.order_refreshes > 10 * dispatcher.order_rebuilds
+        assert 1 <= dispatcher.order_rebuilds <= dispatcher.order_drops + 1
 
     def test_population_gate_keeps_small_cells_scalar(self):
         """At the default gates a 48-job cell never engages the bucketed
@@ -202,13 +245,72 @@ class TestBucketedOrder:
         assert system.dispatcher.bucketed_pumps > 0
         assert True in verdicts and False in verdicts
 
-    def test_invalidate_order_counts_only_real_drops(self):
+    def test_invalidate_order_counts_only_real_drops(self, vectorized_mode,
+                                                     monkeypatch):
+        """A priority rewrite (``invalidate_order``) or a cancellation
+        keeps the standing order and marks it stale; a preemption that
+        evicts WGs and a pump below the gate drop it.  ``order_drops``
+        counts exactly the drops of an order that stood."""
+        from repro import build_workload
+        from repro.sim.dispatcher import WGDispatcher
+
         dispatcher = GPUSystem(make_scheduler("LAX"),
                                SimConfig()).dispatcher
-        assert dispatcher.order_invalidations == 0
-        dispatcher.invalidate_order()       # no cache: a no-op
-        assert dispatcher.order_invalidations == 0
-        dispatcher._order_buckets = {}
-        dispatcher.invalidate_order()
-        assert dispatcher._order_buckets is None
-        assert dispatcher.order_invalidations == 1
+        dispatcher._drop_order()            # nothing stands: not counted
+        assert dispatcher.order_drops == 0
+
+        effects = collections.Counter()
+
+        def watch(name, keeps):
+            original = getattr(WGDispatcher, name)
+
+            def watched(dispatcher, *args):
+                order = dispatcher._order_buckets
+                drops = dispatcher.order_drops
+                if keeps and order is not None:
+                    # The call itself must mark the order stale.
+                    dispatcher._order_stale = False
+                result = original(dispatcher, *args)
+                if order is not None:
+                    kept = dispatcher._order_buckets is order
+                    assert dispatcher.order_drops == drops + (not kept)
+                    if keeps:
+                        assert kept and dispatcher._order_stale
+                    effects[name, kept] += 1
+                return result
+
+            monkeypatch.setattr(WGDispatcher, name, watched)
+
+        watch("invalidate_order", keeps=True)
+        watch("cancel_kernel", keeps=True)
+        watch("preempt_kernel", keeps=False)
+        watch("_pump_once", keeps=False)
+        systems = []
+
+        def run(policy, submit):
+            system = GPUSystem(make_scheduler(policy), SimConfig())
+            submit(system)
+            system.run()
+            systems.append(system)
+
+        with vectorized_mode(True):
+            # VAN preempts under the hybrid; HYBRID late-rejects a job
+            # whose kernel is active.
+            for benchmark in ("VAN", "HYBRID"):
+                jobs = build_workload(benchmark, rate_level="high",
+                                      num_jobs=8, seed=1,
+                                      gpu=SimConfig().gpu)
+                run("LAX-PREMA", lambda s: s.submit_workload(jobs))
+        with monkeypatch.context() as patch:
+            # A streamed cell crosses eight active kernels both ways.
+            patch.setattr("repro.sim.dispatcher._BUCKETED_MIN_ACTIVE", 8)
+            run("LAX", lambda s: s.submit_stream(
+                sustained_source(RATE).jobs(), max_jobs=80))
+
+        assert effects["invalidate_order", True] > 0
+        assert effects["cancel_kernel", True] > 0
+        assert effects["preempt_kernel", False] > 0
+        assert effects["_pump_once", False] > 0
+        assert (sum(system.dispatcher.order_drops for system in systems)
+                == effects["preempt_kernel", False]
+                + effects["_pump_once", False])
