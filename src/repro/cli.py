@@ -271,6 +271,26 @@ def _mode_error(args) -> Optional[str]:
     return None
 
 
+def _output_error(args) -> Optional[str]:
+    """Create every output directory before anything is simulated, so
+    an unusable location fails at once, with one line."""
+    directories = [args.emit_telemetry]
+    if args.sink != "list":
+        from .telemetry import parse_sink_spec
+        kind, arg = parse_sink_spec(args.sink)
+        if kind == "jsonl":
+            directories.append(arg)
+    for path in (args.trace, args.save_workload):
+        if path:
+            directories.append(os.path.dirname(path))
+    for directory in filter(None, directories):
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            return f"cannot create output directory {directory}: {exc}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``lax-sim`` console script."""
     args = _build_parser().parse_args(argv)
@@ -284,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("routers:", ", ".join(router_names()),
               "(--devices N --router NAME)")
         return 0
-    error = _mode_error(args)
+    error = _mode_error(args) or _output_error(args)
     if error is not None:
         print(error)
         return 2

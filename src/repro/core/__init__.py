@@ -12,8 +12,7 @@ from .admission import (QueuingDelayAdmission, fits_free_capacity,
                         steady_state_pass, total_outstanding_time)
 from .calibration import offline_profile, profile_workload, warm_table
 from .inspection import build_wg_list, outstanding_wg_list, total_outstanding_wgs
-from .job_table import (ENTRY_BYTES, JobTable, JobTableEntry, WGListEntry,
-                        job_table_bytes)
+from .job_table import ENTRY_BYTES, JobTable, job_table_bytes
 from .laxity import (INFINITE_PRIORITY, estimate_completion_time,
                      estimate_remaining_time, laxity_priority, laxity_time)
 from .profiling import KernelProfilingTable
@@ -22,10 +21,8 @@ __all__ = [
     "ENTRY_BYTES",
     "INFINITE_PRIORITY",
     "JobTable",
-    "JobTableEntry",
     "KernelProfilingTable",
     "QueuingDelayAdmission",
-    "WGListEntry",
     "build_wg_list",
     "estimate_completion_time",
     "estimate_remaining_time",

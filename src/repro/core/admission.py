@@ -105,9 +105,9 @@ def explain_admission(candidate: "Job", live_jobs: Iterable["Job"],
     always accepted — LAX only gates work the programmer gave a deadline.
 
     ``outstanding`` is an optional ``(now, exclude) -> float | None``
-    replacement for :func:`total_outstanding_time` (LAX installs the
-    vectorized rank-SoA sum); returning ``None`` falls back to the
-    scalar loop.
+    replacement for :func:`total_outstanding_time` (LAX installs its
+    cached sum, an array sum over the Job Table's rows at large
+    populations); returning ``None`` falls back to the scalar loop.
 
     Returns the verdict together with the Little's-Law inputs so telemetry
     can reconstruct *why* a job was (not) offloaded.

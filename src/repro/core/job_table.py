@@ -1,10 +1,17 @@
 """The Job Table: LAX's in-CP bookkeeping structure (Section 4.2).
 
-Each entry mirrors the six fields of Figure 5 — QueueID, Priority, WGList,
-Deadline, StartTime and State — for one compute queue.  In the simulator
-the authoritative dynamic state lives on the :class:`~repro.sim.job.Job`
-objects; the Job Table view here exists to (a) expose exactly the data the
-hardware proposal would hold, and (b) account its memory footprint, which
+One row per compute queue, indexed by queue id, holding the fields LAX's
+Algorithms 1 and 2 read for the job bound to that queue.  The rows are
+numpy arrays, so the vectorized tick, steady-state sweep and admission
+sum read them with masked array operations; below the population gate
+the scalar paths read the same table.  The authoritative dynamic state
+still lives on the :class:`~repro.sim.job.Job` objects: ``remaining``
+mirrors the scheduler's :class:`~repro.core.laxity.RemainingTimeCache`
+and is only written from it, and ``stale`` marks rows whose mirror may
+lag the cache (a WG completion or stream append on the job, or a
+profiling-table publication that dropped its cache entry).
+
+The table also accounts the hardware proposal's memory footprint, which
 the paper reports as **4240 bytes for a 128-compute-queue system**.
 
 Footprint model (bytes per field, chosen to land on the paper's figure for
@@ -29,8 +36,9 @@ at 20 bytes per entry (kernel id, rate, window counter) = 400 bytes, giving
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Iterable, List, Optional, TYPE_CHECKING
+
+import numpy as _np
 
 from ..errors import SimulationError
 
@@ -52,63 +60,43 @@ def job_table_bytes(num_queues: int) -> int:
     return ENTRY_BYTES * num_queues + PROFILING_ENTRIES * PROFILING_ENTRY_BYTES
 
 
-@dataclass
-class WGListEntry:
-    """One WGList element: a kernel launch and its outstanding WG count."""
-
-    kernel_name: str
-    wgs_remaining: int
-
-
-class JobTableEntry:
-    """Job-Table row for one occupied compute queue."""
-
-    __slots__ = ("queue_id", "job", "priority")
-
-    def __init__(self, queue_id: int, job: "Job") -> None:
-        self.queue_id = queue_id
-        self.job = job
-        self.priority: float = 0.0
-
-    @property
-    def deadline(self) -> int:
-        """Programmer-provided relative deadline."""
-        return self.job.deadline
-
-    @property
-    def start_time(self) -> Optional[int]:
-        """Device enqueue time."""
-        return self.job.start_time
-
-    @property
-    def state(self) -> str:
-        """Job state string (init / ready / running)."""
-        return self.job.state.value
-
-    def wg_list(self) -> List[WGListEntry]:
-        """Outstanding work per kernel, in stream order."""
-        return [WGListEntry(k.name, k.wgs_remaining)
-                for k in self.job.kernels if k.wgs_remaining > 0]
-
-
 class JobTable:
-    """The CP-resident table of live jobs, keyed by queue id."""
+    """The CP-resident table of admitted jobs, one row per compute queue.
+
+    A row's arrays are written when a job is inserted and read only while
+    ``occupied`` is set, so :meth:`remove` clears nothing but the binding.
+    """
 
     def __init__(self, num_queues: int) -> None:
         if num_queues <= 0:
             raise SimulationError("JobTable needs at least one queue")
         self._num_queues = num_queues
-        self._entries: Dict[int, JobTableEntry] = {}
-        #: Cached :meth:`entries` tuple; rebuilt after insert/remove.
-        self._entries_view: Optional[Tuple[JobTableEntry, ...]] = None
+        #: The job bound to each row; None marks a free row.
+        self.jobs: List[Optional["Job"]] = [None] * num_queues
+        self.arrival = _np.zeros(num_queues, dtype=_np.int64)
+        #: Relative deadline; NaN encodes "latency-insensitive" (None).
+        self.deadline = _np.full(num_queues, _np.nan)
+        #: The cache's remaining-time estimate (stale rows hold the
+        #: previous value until refreshed).
+        self.remaining = _np.zeros(num_queues)
+        self.running = _np.zeros(num_queues, dtype=bool)
+        self.stale = _np.zeros(num_queues, dtype=bool)
+        self.occupied = _np.zeros(num_queues, dtype=bool)
         #: Standing enqueue order: ``(start_time, job_id, job)`` triples
         #: kept sorted across insert/remove so the steady-state sweep
         #: never re-sorts.  ``job_id`` is unique, so the job object itself
         #: is never compared.
         self._by_start: List[tuple] = []
+        #: :meth:`order` as an array, rebuilt after a membership change.
+        self._order: Optional[_np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_start)
+
+    def __contains__(self, job: "Job") -> bool:
+        row = job.queue_id
+        return (row is not None and row < self._num_queues
+                and self.jobs[row] is job)
 
     @staticmethod
     def _start_key(job: "Job") -> tuple:
@@ -118,26 +106,34 @@ class JobTable:
         # identical and the expression matches the sweep's historic key.
         return (job.start_time or job.arrival, job.job_id)
 
-    def insert(self, job: "Job") -> JobTableEntry:
-        """Add an entry for a job newly bound to a queue."""
-        if job.queue_id is None:
+    def insert(self, job: "Job") -> None:
+        """Fill the row of a job newly admitted on its queue (stale, not
+        running)."""
+        row = job.queue_id
+        if row is None:
             raise SimulationError(f"job {job.job_id} has no queue")
-        if job.queue_id in self._entries:
-            raise SimulationError(f"queue {job.queue_id} already tabled")
-        if len(self._entries) >= self._num_queues:
-            raise SimulationError("JobTable full")
-        entry = JobTableEntry(job.queue_id, job)
-        self._entries[job.queue_id] = entry
-        self._entries_view = None
+        if not 0 <= row < self._num_queues:
+            raise SimulationError(f"queue {row} outside the JobTable")
+        if self.jobs[row] is not None:
+            raise SimulationError(f"queue {row} already tabled")
+        self.jobs[row] = job
+        self.arrival[row] = job.arrival
+        deadline = job.deadline
+        self.deadline[row] = _np.nan if deadline is None else deadline
+        self.remaining[row] = 0.0
+        self.running[row] = False
+        self.stale[row] = True
+        self.occupied[row] = True
         bisect.insort(self._by_start, self._start_key(job) + (job,))
-        return entry
+        self._order = None
 
     def remove(self, job: "Job") -> None:
-        """Drop a completed or rejected job's entry."""
-        entry = self._entries.pop(job.queue_id, None)
-        if entry is None:
+        """Free a completed or rejected job's row."""
+        if job not in self:
             raise SimulationError(f"job {job.job_id} not in JobTable")
-        self._entries_view = None
+        row = job.queue_id
+        self.jobs[row] = None
+        self.occupied[row] = False
         key = self._start_key(job)
         index = bisect.bisect_left(self._by_start, key)
         if (index < len(self._by_start)
@@ -146,23 +142,38 @@ class JobTable:
         else:  # pragma: no cover - insert/remove always pair up
             raise SimulationError(
                 f"job {job.job_id} missing from enqueue order")
+        self._order = None
 
-    def get(self, queue_id: int) -> Optional[JobTableEntry]:
-        """Entry for ``queue_id`` or None."""
-        return self._entries.get(queue_id)
+    def mark_stale(self, job: "Job") -> None:
+        """The job's estimate inputs moved (WG completion, stream append)."""
+        row = job.queue_id
+        if row is not None and self.jobs[row] is job:
+            self.stale[row] = True
 
-    def entries(self) -> Tuple[JobTableEntry, ...]:
-        """All live entries in queue-id order (stable iteration).
+    def mark_running(self, job: "Job") -> None:
+        """Mirror the job's READY -> RUNNING edge into its row."""
+        row = job.queue_id
+        if row is not None and self.jobs[row] is job:
+            self.running[row] = True
 
-        The sorted view is cached — churn happens on job admission and
-        retirement, while readers (telemetry snapshots, validation sweeps)
-        may call this every event.
-        """
-        view = self._entries_view
-        if view is None:
-            view = self._entries_view = tuple(
-                self._entries[qid] for qid in sorted(self._entries))
-        return view
+    def mark_jobs_stale(self, jobs: Iterable["Job"]) -> None:
+        """``RemainingTimeCache.on_invalidated`` observer: a sync dropped
+        these jobs' estimates, so their rows lag the cache."""
+        for job in jobs:
+            self.mark_stale(job)
+
+    def rows(self) -> _np.ndarray:
+        """Occupied rows in queue-id order."""
+        return _np.flatnonzero(self.occupied)
+
+    def order(self) -> _np.ndarray:
+        """Occupied rows in :meth:`jobs_by_start` order."""
+        order = self._order
+        if order is None:
+            order = self._order = _np.fromiter(
+                (triple[2].queue_id for triple in self._by_start),
+                dtype=_np.int64, count=len(self._by_start))
+        return order
 
     def jobs_by_start(self) -> List["Job"]:
         """Tabled jobs in ``(start_time, job_id)`` enqueue order.

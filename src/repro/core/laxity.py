@@ -133,7 +133,8 @@ class RemainingTimeCache:
         self._synced_key = None
         #: job_id -> (job.rank_version, remaining)
         self._values: dict = {}
-        #: kernel name -> set of job_ids whose cached value reads it.
+        #: kernel name -> {job_id: job} whose cached value reads it (a
+        #: dict, so iteration follows insertion order).
         self._jobs_by_type: dict = {}
         #: job_id -> (indexed kernel count, tuple of names) for re-indexing
         #: after a stream append.
@@ -142,11 +143,11 @@ class RemainingTimeCache:
         self.recomputed = 0
         #: Walks elided (cache hits).
         self.reused = 0
-        #: Optional observer called with the job ids whose entries a
-        #: sync dropped.  The scheduler's struct-of-arrays rank state
-        #: (``repro.core.rank_soa``) hooks in here so its per-slot
-        #: staleness follows this cache's invalidations exactly — one
-        #: invalidation decision, two consumers.
+        #: Optional observer called with the jobs whose entries a sync
+        #: dropped.  LAX hooks its Job Table in here
+        #: (:meth:`~repro.core.job_table.JobTable.mark_jobs_stale`) so
+        #: the rows' staleness follows this cache's invalidations exactly
+        #: — one invalidation decision, two consumers.
         self.on_invalidated = None
 
     def sync(self, now: int) -> None:
@@ -169,11 +170,11 @@ class RemainingTimeCache:
         jobs_by_type = self._jobs_by_type
         dropped = []
         for name in changed:
-            ids = jobs_by_type.get(name)
-            if ids:
-                for job_id in ids:
+            jobs = jobs_by_type.get(name)
+            if jobs:
+                for job_id, job in jobs.items():
                     if values.pop(job_id, None) is not None:
-                        dropped.append(job_id)
+                        dropped.append(job)
         if dropped and self.on_invalidated is not None:
             self.on_invalidated(dropped)
 
@@ -262,9 +263,9 @@ class RemainingTimeCache:
             return
         jobs_by_type = self._jobs_by_type
         for name in indexed[1]:
-            ids = jobs_by_type.get(name)
-            if ids is not None:
-                ids.discard(job_id)
+            jobs = jobs_by_type.get(name)
+            if jobs is not None:
+                jobs.pop(job_id, None)
 
     def _index(self, job: "Job") -> None:
         """Map the job's kernel types to it (refreshed after appends)."""
@@ -276,10 +277,10 @@ class RemainingTimeCache:
         self._types_by_job[job_id] = (len(job.kernels), names)
         jobs_by_type = self._jobs_by_type
         for name in names:
-            ids = jobs_by_type.get(name)
-            if ids is None:
-                ids = jobs_by_type[name] = set()
-            ids.add(job_id)
+            jobs = jobs_by_type.get(name)
+            if jobs is None:
+                jobs = jobs_by_type[name] = {}
+            jobs[job_id] = job
 
 
 def laxity_priority(job: "Job", table: KernelProfilingTable,

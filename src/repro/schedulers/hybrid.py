@@ -59,8 +59,8 @@ class LaxityPremaHybridScheduler(LaxityScheduler):
 
     def _outstanding_time(self, now: int, exclude: Job) -> None:
         """Scalar fallback always: hybrid admission sums a laxity-filtered
-        subset of the live jobs (see :meth:`admit`), which the rank SoA's
-        whole-table sum cannot express."""
+        subset of the live jobs (see :meth:`admit`), which the Job Table's
+        whole-table array sum cannot express."""
         return None
 
     def admit(self, job: Job) -> bool:

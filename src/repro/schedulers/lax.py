@@ -23,12 +23,10 @@ from typing import Optional
 
 import numpy as _np
 
-from ..core import rank_soa
 from ..core.admission import QueuingDelayAdmission, steady_state_pass
 from ..core.job_table import JobTable
 from ..core.laxity import (INFINITE_PRIORITY, RemainingTimeCache,
                            laxity_priority)
-from ..core.rank_soa import RankSoA
 from ..errors import ConfigError
 from ..metrics.tracking import PredictionTracker
 from ..sim.engine import PeriodicTask
@@ -39,12 +37,12 @@ from .base import SchedulerPolicy
 INIT_PRIORITY_MODES = ("highest", "lowest", "estimate")
 
 #: Tabled-job count below which the scalar tick and admission sum beat
-#: the SoA path (numpy's fixed per-op cost dominates tiny arrays) — the
-#: rank-level analogue of ``dispatcher._BUCKETED_MIN_ACTIVE``.  The
-#: SUSTAINED streaming cells retire jobs and hold ~50 live, so they stay
-#: on the scalar path; the 1280-job fleet cell crosses over as soon as
-#: its backlog builds.  Both sides make the same decisions, so the gate
-#: is purely a cost model.
+#: array math over the Job Table's rows (numpy's fixed per-op cost
+#: dominates tiny arrays) — the rank-level analogue of
+#: ``dispatcher._BUCKETED_MIN_ACTIVE``.  The SUSTAINED streaming cells
+#: retire jobs and hold ~50 live, so they stay on the scalar path; the
+#: 1280-job fleet cell crosses over as soon as its backlog builds.  Both
+#: sides make the same decisions, so the gate is purely a cost model.
 _VEC_MIN_JOBS = 64
 
 #: Priority order used by the prediction sampler: precomputed attrgetter
@@ -102,8 +100,6 @@ class LaxityScheduler(SchedulerPolicy):
         self._updater: Optional[PeriodicTask] = None
         self.job_table: Optional[JobTable] = None
         self._remaining_cache: Optional[RemainingTimeCache] = None
-        #: Struct-of-arrays rank state; ``None`` for host-side variants.
-        self._rank_soa: Optional[RankSoA] = None
         #: Tick accounting.
         self.tick_stats = TickStats()
         #: O(1) admission reserve: sum of first-kernel WG counts over
@@ -117,14 +113,12 @@ class LaxityScheduler(SchedulerPolicy):
     # ------------------------------------------------------------------
 
     def start(self) -> None:
+        self.job_table = JobTable(self.ctx.config.gpu.num_queues)
         self._remaining_cache = RemainingTimeCache(self.ctx.profiler)
-        # Host-side variants rank on the host and never read the SoA.
-        if not self.host_side:
-            self._rank_soa = RankSoA(self._remaining_cache)
+        self._remaining_cache.on_invalidated = self.job_table.mark_jobs_stale
         self._admission = QueuingDelayAdmission(
             self.ctx.profiler, estimate=self._cached_estimate,
             outstanding=self._outstanding_time)
-        self.job_table = JobTable(self.ctx.config.gpu.num_queues)
         if self._warm_rates:
             from ..core.calibration import warm_table
             warm_table(self.ctx.profiler, self._warm_rates)
@@ -175,21 +169,66 @@ class LaxityScheduler(SchedulerPolicy):
             deadline=decision.deadline)
 
     def _outstanding_time(self, now: int, exclude: Job) -> Optional[float]:
-        """Algorithm 1's ``totRemTime`` over the live jobs.
+        """Algorithm 1's ``totRemTime`` (lines 3-10) over the live jobs.
 
-        At :data:`_VEC_MIN_JOBS` tabled jobs and above, a cumulative sum
-        over the rank SoA, which tracks exactly the live past-*init* jobs
-        Algorithm 1 sums and permutes its slots into the scalar loop's
-        queue-id iteration order (see :meth:`RankSoA.outstanding_time`);
-        below it, one flattened loop over the rank-epoch cache
-        (:meth:`RemainingTimeCache.outstanding_sum`).  Both accumulate
-        the same floats left to right.
+        Below :data:`_VEC_MIN_JOBS` tabled jobs, one flattened loop over
+        the rank-epoch cache (:meth:`RemainingTimeCache.outstanding_sum`).
+        At the gate and above, a cumulative sum over the Job Table's
+        rows, which is :func:`repro.core.admission.total_outstanding_time`
+        bit for bit:
+
+        * the table holds exactly the live past-*init* jobs the scalar
+          loop sums (admission inserts, completion and rejection remove;
+          the candidate ``exclude`` is still *init*, so it is never
+          tabled), and deadline-less rows are masked out;
+        * :meth:`JobTable.rows` yields queue-id order, the order
+          ``QueuePool.live_jobs`` gives the scalar loop, and ``cumsum``
+          accumulates left to right like the loop, so the same floats
+          are added in the same order;
+        * each term is the cached estimate with the cold-start deadline
+          fallback of ``remaining_time_or_deadline``;
+        * the cache is synced up front, as the scalar loop's first
+          estimate would, and only then are stale rows refreshed through
+          it (the sync may mark more rows stale).  The refresh may warm
+          rows the scalar sum skips, which is unobservable.
         """
-        soa = self._rank_soa
-        if soa is not None and len(soa) >= _VEC_MIN_JOBS:
-            return soa.outstanding_time(now, exclude)
-        return self._remaining_cache.outstanding_sum(
-            self.ctx.live_jobs(), now, exclude)
+        table = self.job_table
+        if len(table) < _VEC_MIN_JOBS:
+            return self._remaining_cache.outstanding_sum(
+                self.ctx.live_jobs(), now, exclude)
+        self._remaining_cache.sync(now)
+        rows = table.rows()
+        stale = rows[table.stale[rows]]
+        if stale.size:
+            self._refresh_rows(stale, now)
+        rows = rows[~_np.isnan(table.deadline[rows])]
+        if rows.size == 0:
+            return 0.0
+        remaining = table.remaining[rows]
+        # remaining_time_or_deadline: a zero estimate (no rates anywhere
+        # for the job's kernels) charges the remaining deadline budget.
+        # elapsed = max(0, now - arrival); int64 -> float64 is lossless at
+        # simulation magnitudes (< 2**53).
+        budget = table.deadline[rows] - _np.maximum(
+            now - table.arrival[rows], 0)
+        values = _np.where(remaining > 0.0, remaining,
+                           _np.maximum(budget, 0.0))
+        return float(values.cumsum()[-1])
+
+    def _refresh_rows(self, rows, now: int) -> int:
+        """Recompute the given stale rows' estimates through the cache and
+        return how many were refreshed.  The cache stays the one source
+        of the values, so a later scalar tick sees them warm."""
+        table = self.job_table
+        jobs = table.jobs
+        remaining = table.remaining
+        stale = table.stale
+        estimate = self._remaining_cache.remaining
+        rows = rows.tolist()
+        for row in rows:
+            remaining[row] = estimate(jobs[row], now)
+            stale[row] = False
+        return len(rows)
 
     def _reserved_wgs(self, candidate: Job) -> int:
         """WGs promised to admitted jobs whose work is not yet resident.
@@ -216,8 +255,6 @@ class LaxityScheduler(SchedulerPolicy):
             self._ready_reserve += kernel.wgs_pending
         job.priority = self._initial_priority(job)
         self.job_table.insert(job)
-        if self._rank_soa is not None:
-            self._rank_soa.add(job)
         self._updater.ensure_running()
 
     def on_job_complete(self, job: Job) -> None:
@@ -226,10 +263,7 @@ class LaxityScheduler(SchedulerPolicy):
             # serve hook normally cleared this already.
             self._ready_reserve -= job.reserve_counted
             job.reserve_counted = 0
-        if self._remaining_cache is not None:
-            self._remaining_cache.forget(job)
-        if self._rank_soa is not None:
-            self._rank_soa.remove(job)
+        self._remaining_cache.forget(job)
         self.job_table.remove(job)
         if self._tracker is not None:
             self._tracker.finalize_job(job)
@@ -240,40 +274,28 @@ class LaxityScheduler(SchedulerPolicy):
             # arrival-time rejects were never counted.
             self._ready_reserve -= job.reserve_counted
             job.reserve_counted = 0
-        if self._remaining_cache is not None:
-            # Arrival-time candidates are cached by the admission
-            # estimator, so even never-tabled jobs must be pruned.
-            self._remaining_cache.forget(job)
-        if self._rank_soa is not None:
-            # No-op for never-tabled (arrival-time) rejects: they were
-            # never assigned a slot.
-            self._rank_soa.remove(job)
+        # Arrival-time candidates are cached by the admission estimator,
+        # so even never-tabled jobs must be pruned.
+        self._remaining_cache.forget(job)
         # Arrival-time rejections never reached the table; late rejections
         # (steady-state sweep) did and must leave it.
-        if self.job_table is None or job.queue_id is None:
-            return
-        entry = self.job_table.get(job.queue_id)
-        if entry is not None and entry.job is job:
+        if job in self.job_table:
             self.job_table.remove(job)
 
     def on_wg_complete(self, kernel) -> None:
-        if self._rank_soa is not None:
-            self._rank_soa.mark_stale(kernel.job)
+        self.job_table.mark_stale(kernel.job)
 
     def on_job_extended(self, job: Job) -> None:
-        if self._rank_soa is not None:
-            self._rank_soa.mark_stale(job)
+        self.job_table.mark_stale(job)
 
     def on_kernels_served(self, kernels) -> None:
-        # The dispatcher marked these kernels' jobs running; mirror the
-        # READY -> RUNNING edge into the slot arrays (the sweep treats
-        # running jobs differently — they are never estimate-rejected).
-        soa = self._rank_soa
-        if soa is not None:
-            for kernel in kernels:
-                soa.mark_running(kernel.job)
+        mark_running = self.job_table.mark_running
         for kernel in kernels:
             job = kernel.job
+            # The dispatcher marked the job running; mirror the
+            # READY -> RUNNING edge into its row (the sweep treats
+            # running jobs differently — they are never estimate-rejected).
+            mark_running(job)
             counted = job.reserve_counted
             if counted:
                 # READY -> RUNNING edge: the job's promised WGs are now
@@ -304,8 +326,7 @@ class LaxityScheduler(SchedulerPolicy):
             # tracker want the scalar loop's per-job interleaving — and
             # below the ``_VEC_MIN_JOBS`` population where array setup
             # costs more than the scalar sweep.
-            if (self._rank_soa is not None
-                    and len(self._rank_soa) >= _VEC_MIN_JOBS
+            if (len(self.job_table) >= _VEC_MIN_JOBS
                     and self._tracker is None and not self.decisions_enabled):
                 self._update_priorities_vectorized()
             else:
@@ -397,16 +418,17 @@ class LaxityScheduler(SchedulerPolicy):
             stats.ticks_elided += 1
 
     def _update_priorities_vectorized(self) -> None:
-        """The struct-of-arrays tick: Algorithm 2 as masked array math.
+        """The array tick: Algorithm 2 as masked math over the Job Table.
 
         Makes :meth:`_update_priorities_gated`'s decisions by
         construction (the full argument lives in ``docs/performance.md``):
 
         * estimates still come from the :class:`RemainingTimeCache` —
-          the slot arrays only *mirror* its floats, refreshed through
-          :meth:`RemainingTimeCache.remaining` for exactly the slots
-          whose dict entry is (or would be) stale, so every consumed
-          value is the cached float the scalar tick would read;
+          the table's ``remaining`` row only *mirrors* its floats,
+          refreshed through :meth:`RemainingTimeCache.remaining` for
+          exactly the rows whose dict entry is (or would be) stale, so
+          every consumed value is the cached float the scalar tick would
+          read;
         * the elementwise priority arithmetic (``rem + elapsed``,
           ``deadline - completion``, the ``deadline > completion``
           select) maps one IEEE-754 float64 operation onto each scalar
@@ -417,8 +439,8 @@ class LaxityScheduler(SchedulerPolicy):
           gated tick's first ``remaining()`` call would roll the
           profiling window;
         * *init* jobs (bound to a queue, admission pending) are not
-          tabled and carry no slot; they take the scalar per-job branch
-          below, verbatim from the gated loop.
+          tabled; they take the scalar per-job branch below, verbatim
+          from the gated loop.
 
         Exact float64 equality between the numpy and scalar arithmetic
         additionally assumes tick counts stay below 2**53 (about 104
@@ -427,19 +449,19 @@ class LaxityScheduler(SchedulerPolicy):
         """
         now = self.ctx.now
         cache = self._remaining_cache
-        soa = self._rank_soa
+        table = self.job_table
         stats = self.tick_stats
         recomputed_before = cache.recomputed
         reused_before = cache.reused
         if self._enable_admission:
             self._steady_state_rejects_vectorized(now)
-        slots = soa.live_slots()
-        ranked = int(slots.size)
+        rows = table.rows()
+        ranked = int(rows.size)
         refreshed = 0
         eligible_count = 0
         if ranked:
-            deadline = soa.deadline[slots]
-            elapsed = _np.maximum(now - soa.arrival[slots], 0)
+            deadline = table.deadline[rows]
+            elapsed = _np.maximum(now - table.arrival[rows], 0)
             # NaN deadlines (latency-insensitive) compare False here and
             # fall into the INFINITE_PRIORITY fill below, like the
             # ``deadline is None`` / ``elapsed > deadline`` branches.
@@ -448,27 +470,27 @@ class LaxityScheduler(SchedulerPolicy):
             if eligible_count:
                 cache.sync(now)
                 # Read staleness only after the sync: its invalidation
-                # callback may have marked additional slots stale.
-                stale = soa.stale[slots] & eligible
+                # callback may have marked additional rows stale.
+                stale = table.stale[rows] & eligible
                 if stale.any():
-                    refreshed = soa.refresh(slots[stale].tolist(), now)
-                rem = soa.remaining[slots]
+                    refreshed = self._refresh_rows(rows[stale], now)
+                rem = table.remaining[rows]
                 completion = rem + elapsed
                 priority = _np.where(deadline > completion,
                                      deadline - completion, completion)
                 priority[~eligible] = INFINITE_PRIORITY
             else:
                 priority = _np.full(ranked, INFINITE_PRIORITY)
-            jobs = soa._jobs
-            for slot, value in zip(slots.tolist(), priority.tolist()):
-                jobs[slot].priority = value
-        # Live jobs without a slot: *init* jobs whose admission decision
-        # is still in flight.  Scalar branch, verbatim from the gated
+            jobs = table.jobs
+            for row, value in zip(rows.tolist(), priority.tolist()):
+                jobs[row].priority = value
+        # Untabled live jobs: *init* jobs whose admission decision is
+        # still in flight.  Scalar branch, verbatim from the gated
         # tick (they are few and short-lived).
         extras = 0
         if self.ctx.pool.num_bound != ranked:
             for job in self.ctx.live_jobs():
-                if job in soa:
+                if job in table:
                     continue
                 extras += 1
                 deadline = job.deadline
@@ -485,7 +507,7 @@ class LaxityScheduler(SchedulerPolicy):
         walked = cache.recomputed - recomputed_before
         stats.ticks += 1
         stats.walks_recomputed += walked
-        # Slots consumed without touching the dict cache are reuses too:
+        # Rows consumed without touching the dict cache are reuses too:
         # the mirror held the exact cached float.
         stats.walks_reused += (cache.reused - reused_before
                                + max(0, eligible_count - refreshed))
@@ -496,7 +518,7 @@ class LaxityScheduler(SchedulerPolicy):
             stats.ticks_elided += 1
 
     def _steady_state_rejects_vectorized(self, now: int) -> None:
-        """:func:`steady_state_pass` over the slot arrays.
+        """:func:`steady_state_pass` over the Job Table's rows.
 
         Walks the same standing ``(start_time, job_id)`` order with the
         same sequential ``totRemTime`` prefix — ``np.add.accumulate`` is
@@ -509,23 +531,22 @@ class LaxityScheduler(SchedulerPolicy):
         whole pass decides before any ``cancel_job`` runs, exactly like
         the scalar sweep (``steady_state_pass`` returns a list).
         """
-        soa = self._rank_soa
-        cache = self._remaining_cache
-        order = soa.order_slots(self.job_table)
+        table = self.job_table
+        order = table.order()
         if order.size == 0:
             return
-        deadline = soa.deadline[order]
-        elapsed = _np.maximum(now - soa.arrival[order], 0)
+        deadline = table.deadline[order]
+        elapsed = _np.maximum(now - table.arrival[order], 0)
         past = elapsed > deadline  # NaN deadline -> False: never past
         need = ~_np.isnan(deadline) & ~past
         if need.any():
-            cache.sync(now)
-            stale = soa.stale[order] & need
+            self._remaining_cache.sync(now)
+            stale = table.stale[order] & need
             if stale.any():
-                soa.refresh(order[stale].tolist(), now)
-        rem = soa.remaining[order]
+                self._refresh_rows(order[stale], now)
+        rem = table.remaining[order]
         contrib = need & (rem > 0.0)
-        cand = contrib & (soa.state[order] != rank_soa.RUNNING)
+        cand = contrib & ~table.running[order]
         rejected = past.copy()
         if cand.any():
             vals = _np.where(contrib, rem, 0.0)
@@ -547,7 +568,8 @@ class LaxityScheduler(SchedulerPolicy):
                 start = first + 1
         if not rejected.any():
             return
-        rejects = [soa.job_at(slot) for slot in order[rejected].tolist()]
+        jobs = table.jobs
+        rejects = [jobs[row] for row in order[rejected].tolist()]
         cp = self.ctx.cp
         for job in rejects:
             self._admission.late_rejected += 1

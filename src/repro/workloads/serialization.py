@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List
 
-from ..errors import WorkloadError
+from ..errors import ConfigError, WorkloadError
 from ..sim.job import Job
 from ..sim.kernel import KernelDescriptor
 
@@ -81,35 +81,77 @@ def workload_to_dict(jobs: Iterable[Job]) -> Dict:
 
 
 def workload_from_dict(data: Dict) -> List[Job]:
-    """Rebuild a job list from :func:`workload_to_dict` output."""
+    """Rebuild a job list from :func:`workload_to_dict` output.
+
+    A malformed file raises :class:`WorkloadError` naming the bad kernel
+    type or job entry, never a bare ``KeyError`` or ``TypeError``.
+    """
     tag = data.get("format") if isinstance(data, dict) else None
     if tag != FORMAT_TAG:
         raise WorkloadError(
             f"unsupported workload format {tag!r}; "
             f"expected {FORMAT_TAG!r}")
-    descriptors = {
-        name: KernelDescriptor(name=name, **fields)
-        for name, fields in data.get("kernels", {}).items()
-    }
-    jobs: List[Job] = []
-    for entry in data.get("jobs", []):
+    kernels = data.get("kernels", {})
+    if not isinstance(kernels, dict):
+        raise WorkloadError("'kernels' must map kernel names to fields")
+    descriptors = {}
+    for name, fields in kernels.items():
         try:
-            chain = [descriptors[name] for name in entry["kernels"]]
-        except KeyError as missing:
-            raise WorkloadError(f"job references unknown kernel {missing}")
-        dependencies = entry.get("dependencies")
-        if dependencies is not None:
-            dependencies = {int(index): tuple(deps)
-                            for index, deps in dependencies.items()}
-        jobs.append(Job(
-            job_id=entry["job_id"], benchmark=entry["benchmark"],
-            descriptors=chain, arrival=entry["arrival"],
-            deadline=entry["deadline"], tag=entry.get("tag"),
-            user_priority=entry.get("user_priority", 0),
-            dependencies=dependencies))
+            descriptors[name] = KernelDescriptor(name=name, **fields)
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise WorkloadError(f"kernel type {name!r}: {exc}") from None
+    entries = data.get("jobs", [])
+    if not isinstance(entries, list):
+        raise WorkloadError("'jobs' must be a list of job entries")
+    jobs: List[Job] = []
+    for index, entry in enumerate(entries):
+        try:
+            jobs.append(_job_from_dict(entry, descriptors))
+        except WorkloadError as exc:
+            raise WorkloadError(f"job entry {index}: {exc}") from None
     if not jobs:
         raise WorkloadError("workload file contains no jobs")
     return jobs
+
+
+def _job_from_dict(entry, descriptors: Dict[str, KernelDescriptor]) -> Job:
+    """One job entry; raises :class:`WorkloadError` on a malformed field."""
+    if not isinstance(entry, dict):
+        raise WorkloadError("must be an object")
+    missing = [field for field in ("job_id", "benchmark", "arrival",
+                                   "deadline", "kernels")
+               if field not in entry]
+    if missing:
+        raise WorkloadError(f"missing {', '.join(map(repr, missing))}")
+    names = entry["kernels"]
+    if not isinstance(names, list):
+        raise WorkloadError("'kernels' must be a list of kernel names")
+    for field in ("arrival", "deadline"):
+        value = entry[field]
+        if field == "deadline" and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise WorkloadError(f"{field!r} must be a number, got {value!r}")
+    dependencies = entry.get("dependencies")
+    if dependencies is not None and not isinstance(dependencies, dict):
+        raise WorkloadError("'dependencies' must map a kernel index to a "
+                            "list of earlier kernel indices")
+    unknown = [name for name in names
+               if not isinstance(name, str) or name not in descriptors]
+    if unknown:
+        raise WorkloadError(f"references unknown kernel {unknown[0]!r}")
+    try:
+        if dependencies is not None:
+            dependencies = {int(index): tuple(deps)
+                            for index, deps in dependencies.items()}
+        return Job(job_id=entry["job_id"], benchmark=entry["benchmark"],
+                   descriptors=[descriptors[name] for name in names],
+                   arrival=entry["arrival"],
+                   deadline=entry["deadline"], tag=entry.get("tag"),
+                   user_priority=entry.get("user_priority", 0),
+                   dependencies=dependencies)
+    except (TypeError, ValueError) as exc:
+        raise WorkloadError(str(exc)) from None
 
 
 def save_workload(jobs: Iterable[Job], path: str) -> int:

@@ -1,5 +1,7 @@
 """Unit tests for the lax-sim command-line entry point."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -31,9 +33,38 @@ class TestCli:
             main(["--scheduler", "FIFO"])
 
 
+def _workload(jobs=None, kernel_types=None, **job_fields):
+    """A ``repro-workload-v1`` document: one valid job unless overridden."""
+    job = {"job_id": 0, "benchmark": "T", "arrival": 0,
+           "deadline": 1000000, "kernels": ["k"], **job_fields}
+    return {"format": "repro-workload-v1",
+            "kernels": kernel_types or {"k": {"num_wgs": 4, "threads_per_wg": 64,
+                                         "wg_work": 1000}},
+            "jobs": [job] if jobs is None else jobs}
+
+
+def _without_arrival():
+    document = _workload()
+    del document["jobs"][0]["arrival"]
+    return document
+
+
+#: Workload files that pass the format check but are malformed inside.
+MALFORMED_WORKLOADS = {
+    "no-arrival.json": _without_arrival(),
+    "kernels-not-a-list.json": _workload(kernels=5),
+    "jobs-not-a-list.json": _workload(jobs={"0": {}}),
+    "kernel-without-num-wgs.json": _workload(
+        kernel_types={"k": {"threads_per_wg": 64, "wg_work": 1000}}),
+    "string-deadline.json": _workload(deadline="soon"),
+    "dependencies-list.json": _workload(dependencies=[[0]]),
+}
+
+
 class TestBadInput:
-    """Bad numbers and unreadable workload files end the run with exit
-    code 2 and a single line, never a traceback."""
+    """Bad numbers, unreadable or malformed workload files and unusable
+    output locations end the run with exit code 2 and a single line,
+    never a traceback; an output location fails before simulating."""
 
     CASES = {
         "jobs-zero-run": ["--jobs", "0"],
@@ -56,6 +87,15 @@ class TestBadInput:
         "workload-not-json": ["--workload", "not-json.json"],
         "workload-no-format": ["--workload", "no-format.json"],
         "workload-not-an-object": ["--workload", "list.json"],
+        **{f"workload-{name[:-len('.json')]}": ["--workload", name]
+           for name in MALFORMED_WORKLOADS},
+        # "file" is a regular file: nothing can be created beneath it.
+        "emit-telemetry-under-file": ["--jobs", "4",
+                                      "--emit-telemetry", "file/out"],
+        "sink-jsonl-under-file": ["--jobs", "4", "--sink", "jsonl:file/out"],
+        "trace-under-file": ["--jobs", "4", "--trace", "file/t.jsonl"],
+        "save-workload-under-file": ["--jobs", "4",
+                                     "--save-workload", "file/w.json"],
     }
 
     @pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
@@ -66,6 +106,9 @@ class TestBadInput:
         (tmp_path / "not-json.json").write_text("not json")
         (tmp_path / "no-format.json").write_text('{"jobs": []}')
         (tmp_path / "list.json").write_text("[1, 2]")
+        for name, document in MALFORMED_WORKLOADS.items():
+            (tmp_path / name).write_text(json.dumps(document))
+        (tmp_path / "file").write_text("")
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = (captured.out + captured.err).splitlines()

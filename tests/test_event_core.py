@@ -7,7 +7,9 @@ replaces:
 
 * LAX's admission reserve counter vs the READY-job scan;
 * the dispatcher's standing pending set vs the active-kernel scan;
-* the flattened ``outstanding_sum`` vs the generic Algorithm-1 helper;
+* LAX's Algorithm-1 ``totRemTime`` (the flattened ``outstanding_sum``
+  below the population gate, the Job Table's array sum above it) vs the
+  generic helper;
 
 and that a streamed run reproduces the finite list it is a prefix of,
 with and without retirement.  The event heap underneath fires every
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SimConfig
@@ -29,6 +32,8 @@ from repro.schedulers.registry import make_scheduler
 from repro.sim.device import GPUSystem
 from repro.sim.dispatcher import WGDispatcher
 from repro.sim.job import JobState
+from repro.workloads import build_workload
+from repro.workloads.background import build_background_jobs, merge_workloads
 from repro.workloads.streaming import (SUSTAINED_RATES,
                                        build_sustained_jobs,
                                        sustained_source)
@@ -160,17 +165,57 @@ class TestPendingSet:
         assert any(pumps), "no pump ever saw pending work"
 
 
+def _queue_reuse_cell():
+    """LSTM/high on 16 queues: queues are reused, so the Job Table's
+    queue-id order differs from its enqueue order."""
+    config = SimConfig()
+    config = config.replace(gpu=dataclasses.replace(config.gpu,
+                                                    num_queues=16))
+    system = GPUSystem(make_scheduler("LAX"), config)
+    system.submit_workload(build_workload("LSTM", rate_level="high",
+                                          num_jobs=96, seed=1,
+                                          gpu=config.gpu))
+    system.run()
+
+
+def _mixed_cell():
+    """IPV6/high with deadline-less background jobs of a kernel type no
+    deadline job shares (cold, so never rated early)."""
+    gpu = SimConfig().gpu
+    jobs = merge_workloads(
+        build_workload("IPV6", rate_level="high", num_jobs=48, seed=2,
+                       gpu=gpu),
+        build_background_jobs(16, 20000.0, 3, gpu))
+    system = GPUSystem(make_scheduler("LAX"), SimConfig())
+    system.submit_workload(jobs)
+    system.run()
+
+
+#: cell -> (runner, admissions that must reach Algorithm 1's sum).
+_SUM_CELLS = {
+    "sustained": (lambda: _cell(num_jobs=200), 1),
+    "queue-reuse": (_queue_reuse_cell, 90),
+    "mixed": (_mixed_cell, 40),
+}
+
+
 class TestOutstandingSum:
-    def test_flattened_sum_equals_generic_helper(self, monkeypatch):
-        """``outstanding_sum`` returns the generic Algorithm-1 helper's
-        exact float at every admission of a live run."""
-        orig = RemainingTimeCache.outstanding_sum
+    @pytest.mark.parametrize("cell", list(_SUM_CELLS))
+    @pytest.mark.parametrize("gate", ("recorded", "array"))
+    def test_flattened_sum_equals_generic_helper(self, monkeypatch, gate,
+                                                 cell):
+        """LAX's ``totRemTime`` returns the generic Algorithm-1 helper's
+        exact float at every admission that reaches it, on both sides of
+        ``_VEC_MIN_JOBS``: below it the flattened ``outstanding_sum``,
+        at 1 the Job Table's queue-id-ordered ``cumsum``."""
+        if gate == "array":
+            monkeypatch.setattr("repro.schedulers.lax._VEC_MIN_JOBS", 1)
+        orig = LaxityScheduler._outstanding_time
         checked_calls = []
 
-        def checked(self, jobs, now, exclude=None):
-            jobs = list(jobs)
-            value = orig(self, jobs, now, exclude)
-            values = self._values
+        def checked(self, now, exclude):
+            value = orig(self, now, exclude)
+            values = self._remaining_cache._values
 
             def cached_estimate(job, table, time):
                 # Pure read: ``orig`` just warmed the cache for every
@@ -182,15 +227,18 @@ class TestOutstandingSum:
                 return estimate_remaining_time(job, table, time)
 
             reference = total_outstanding_time(
-                jobs, self._table, now, exclude=exclude,
-                estimate=cached_estimate)
-            assert value == reference
+                self.ctx.live_jobs(), self.ctx.profiler, now,
+                exclude=exclude, estimate=cached_estimate)
+            assert value == reference, (
+                f"totRemTime {value!r} != {reference!r} at t={now}")
             checked_calls.append(value)
             return value
 
-        monkeypatch.setattr(RemainingTimeCache, "outstanding_sum", checked)
-        _cell(num_jobs=200)
-        assert checked_calls, "no admission took the slow path"
+        monkeypatch.setattr(LaxityScheduler, "_outstanding_time", checked)
+        run, minimum = _SUM_CELLS[cell]
+        run()
+        assert len(checked_calls) >= minimum, (
+            f"only {len(checked_calls)} admissions took the slow path")
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The gated sides of the population gates against the scalar sides.
 
-Both sides of ``lax._VEC_MIN_JOBS`` (the struct-of-arrays tick and
-admission sum) and ``dispatcher._BUCKETED_MIN_ACTIVE`` (the bucketed
+Both sides of ``lax._VEC_MIN_JOBS`` (the tick and admission sum as
+array math over the Job Table's rows) and ``dispatcher._BUCKETED_MIN_ACTIVE`` (the bucketed
 pump's standing issue order) ship, and they must make the same
 decisions.  The mini cells here sit on whichever side the gates put
 them, so each test forces the gated side by setting both gates to 1 and
@@ -134,10 +134,9 @@ class TestVectorizedDifferential:
                                                      monkeypatch):
         """Regression: a cold profiling table keeps kernel types volatile
         (observations but no published rate), so every cache sync drops
-        their jobs' estimates and ``on_invalidated`` marks those rank-SoA
-        slots stale.  The
-        vectorized admission sum must sync the cache *before* snapshotting
-        staleness — reading it first missed those invalidations and
+        their jobs' estimates and ``on_invalidated`` marks those Job
+        Table rows stale.  The vectorized admission sum must sync the
+        cache *before* snapshotting staleness — reading it first missed those invalidations and
         diverged from the scalar ``total_outstanding_time`` loop (caught
         on the LSTM hot-path cell, which starts cold; the fleet cells
         never see it because ``warm_table`` pre-publishes rates).
