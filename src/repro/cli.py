@@ -387,14 +387,14 @@ def _report_from_bundle(args) -> int:
     Works on bundles written before windowed metrics existed — the
     renderer skips sections whose keys are absent.
     """
-    import json
+    from .errors import TelemetryError
     from .telemetry import render_markdown
-    path = os.path.join(args.from_bundle, "report.json")
-    if not os.path.isfile(path):
-        print(f"no report.json under {args.from_bundle}")
+    from .telemetry.report import load_report
+    try:
+        report = load_report(args.from_bundle)
+    except TelemetryError as exc:
+        print(f"cannot render --from-bundle {args.from_bundle}: {exc}")
         return 2
-    with open(path, encoding="utf-8") as source:
-        report = json.load(source)
     print(render_markdown(report), end="")
     return 0
 

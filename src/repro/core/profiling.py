@@ -102,6 +102,16 @@ class KernelProfilingTable:
             raise ConfigError("smoothing must be in (0, 1]")
         self._window = window
         self._stats: Dict[str, _KernelStats] = {}
+        #: The types a window roll must fold: those with WGs in flight or
+        #: completions in the open window, in the order they (re)joined.
+        #: Issue adds a type (a completing type has WGs in flight, so it
+        #: is already here); a roll that finds both counters at zero
+        #: drops it.  For every other type ``accrue`` plus
+        #: ``close_window`` would change only ``last_transition``, which
+        #: nothing reads while ``in_flight`` is 0 (the next issue
+        #: re-stamps it), so the roll costs O(types with activity), not
+        #: O(types ever seen).
+        self._live: Dict[str, _KernelStats] = {}
         self._published_at = 0
         #: Bumped whenever a *published* rate changes (window roll or
         #: :meth:`seed_rate`).  Published values are the only table output
@@ -142,6 +152,7 @@ class KernelProfilingTable:
         stats = self._get(kernel_name)
         stats.accrue(now)
         stats.in_flight += 1
+        self._live[kernel_name] = stats
 
     def on_wgs_issued(self, kernel_name: str, count: int, now: int) -> None:
         """``count`` WGs of ``kernel_name`` started executing at ``now``.
@@ -158,6 +169,7 @@ class KernelProfilingTable:
         stats = self._get(kernel_name)
         stats.accrue(now)
         stats.in_flight += count
+        self._live[kernel_name] = stats
 
     def record_wg_completion(self, kernel_name: str, now: int) -> None:
         """A WG of ``kernel_name`` finished."""
@@ -263,12 +275,22 @@ class KernelProfilingTable:
                 or stats.published_rate is None]
 
     def _roll(self, now: int) -> None:
+        """Close the open window if it has ended by ``now``.
+
+        Folds only the types in ``_live`` (see ``__init__``), so the
+        per-type epochs of one roll follow the order types joined that
+        set rather than first-seen order.  Nothing compares them except
+        against table-wide :attr:`rank_epoch` snapshots, which fall
+        before or after the whole roll.
+        """
         if now - self._published_at < self._window:
             return
         self.mutations += 1
         epoch = self.rank_epoch
         unpublished = self.unpublished
-        for stats in self._stats.values():
+        live = self._live
+        idle = []
+        for name, stats in live.items():
             stats.accrue(now)
             before = stats.published_rate
             stats.close_window()
@@ -278,6 +300,10 @@ class KernelProfilingTable:
                 stats.rank_epoch = epoch
                 if before is None:
                     unpublished -= 1
+            if not stats.in_flight and not stats.window_completed:
+                idle.append(name)
+        for name in idle:
+            del live[name]
         self.rank_epoch = epoch
         self.unpublished = unpublished
         self._published_at = now - (now - self._published_at) % self._window

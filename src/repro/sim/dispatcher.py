@@ -17,8 +17,12 @@ one :meth:`ComputeUnit.issue_wgs` call, and leaves each touched CU's
 timer to be re-armed exactly once via :meth:`ComputeUnit.flush_issue` —
 in the order a per-WG issue loop's surviving timer pushes would have
 happened, so the event heap's FIFO tie-breaking is that of issuing one
-WG at a time.  ``docs/performance.md`` has the argument in full.  The
-three pumps differ only in how they walk the ranking:
+WG at a time.  ``docs/performance.md`` has the argument in full.
+Every pump solves capacity only on the *open* CUs
+(:meth:`WGDispatcher._open_cus`) — those with a free wavefront slot and
+as many free threads as the smallest WG that could be pending needs;
+none open ends the pump at once.  The three pumps differ only in how
+they walk the ranking:
 
 * :meth:`~WGDispatcher._pump_single` — one pending kernel (the
   streaming common case): no ranking at all;
@@ -82,12 +86,15 @@ class WGDispatcher:
         ]
         for cu in self.cus:
             cu.on_capacity_freed = self.request_pump
-        self._active: List[KernelInstance] = []
+        #: Active kernels in activation order.  Dict-as-set, so the
+        #: duplicate check and the completion and cancel removals are
+        #: O(1) at fleet populations of hundreds of kernels.
+        self._active: dict = {}
         #: Standing pending set: active kernels with WGs left to issue,
-        #: in active-list order, so pumps never re-scan the active list.
+        #: in activation order, so pumps never re-scan the active set.
         #: Dict-as-set for O(1) membership plus insertion order.  Appends
         #: mirror ``add_kernel``; preemption, the only path that re-pends
-        #: a consumed kernel, rebuilds it from the active list.
+        #: a consumed kernel, rebuilds it from the active set.
         self._pending_set: dict = {}
         self._policy: Optional["SchedulerPolicy"] = None
         self._pump_pending = False
@@ -106,7 +113,7 @@ class WGDispatcher:
         #: Total preemption evictions performed.
         self.wgs_preempted = 0
         # Bucketed-pump state: a monotone lower bound on threads/WG over
-        # every kernel ever activated, backing the saturation fast-out.
+        # every kernel ever activated, the pump's open-CU bound.
         self._min_threads_seen = _HUGE
         self._base_order = False
         self._issue_key = None
@@ -155,15 +162,16 @@ class WGDispatcher:
 
     def add_kernel(self, kernel: KernelInstance) -> None:
         """Activate a kernel launch (CP handed it over)."""
-        if kernel in self._active:
+        active = self._active
+        if kernel in active:
             raise SimulationError(f"kernel {kernel!r} activated twice")
         kernel.mark_active(self._sim.now)
         # Maintained on every activation (one compare on a cold path) so
-        # the bucketed pump's saturation fast-out can never skip real work.
+        # the bucketed pump never leaves out a CU that could admit work.
         threads = kernel.descriptor.threads_per_wg
         if threads < self._min_threads_seen:
             self._min_threads_seen = threads
-        self._active.append(kernel)
+        active[kernel] = None
         if kernel.descriptor.num_wgs > kernel.wgs_issued:
             self._pending_set[kernel] = None
         buckets = self._order_buckets
@@ -197,7 +205,7 @@ class WGDispatcher:
             # consumed as "fully issued" may be pending again.
             self._drop_order()
             # Rebuild (rather than append to) the pending set: a kernel
-            # re-pended out of order must re-enter at its active-list
+            # re-pended out of order must re-enter at its activation
             # position.
             self._pending_set = {
                 k: None for k in self._active
@@ -234,8 +242,7 @@ class WGDispatcher:
                     self.trace.emit(self._sim.now, "preemption",
                                     job_id=kernel.job.job_id,
                                     kernel=kernel.name, detail=evicted)
-        if kernel in self._active:
-            self._active.remove(kernel)
+        self._active.pop(kernel, None)
         self._pending_set.pop(kernel, None)
         # The kernel leaves the active set while still pending; the next
         # refresh drops it from its bucket rather than this searching it.
@@ -286,7 +293,7 @@ class WGDispatcher:
                             kernel=kernel.name, cu=cu_id)
         finished = kernel.note_wg_completed(now)
         if finished:
-            self._active.remove(kernel)
+            del self._active[kernel]
         self.on_wg_complete(kernel, now)
         self.request_pump()
 
@@ -305,8 +312,9 @@ class WGDispatcher:
             # The monotone threads/WG bound replaces the pending list
             # copy, and the standing shape-bucketed order the per-pump
             # ranking pass.
-            if self._any_capacity(self._min_threads_seen):
-                self._pump_bucketed()
+            cus = self._open_cus(self._min_threads_seen)
+            if cus:
+                self._pump_bucketed(cus)
             return
         if self._order_buckets is not None:
             # Crossing below the gate: the scalar pumps issue WGs without
@@ -314,35 +322,57 @@ class WGDispatcher:
             # it greet the next crossing back up.
             self._drop_order()
         pending = list(self._pending_set)
-        if not self._any_capacity(
-                min(k.descriptor.threads_per_wg for k in pending)):
+        cus = self._open_cus(
+            min(k.descriptor.threads_per_wg for k in pending))
+        if not cus:
             return
         if self._policy is None:
             raise SimulationError("dispatcher has no policy attached")
         if len(pending) == 1 and not self._policy.filtering_issue:
-            self._pump_single(pending[0])
+            self._pump_single(pending[0], cus)
         else:
-            self._pump_batched(pending)
+            self._pump_batched(pending, cus)
 
-    def _place(self, kernel: KernelInstance, caps: List[int],
-               loads: List[int], touched: List[ComputeUnit]) -> int:
+    def _open_cus(self, min_threads: int) -> List[ComputeUnit]:
+        """The CUs a pump solves capacity on, in device order.
+
+        Those with a free wavefront slot and ``min_threads`` free thread
+        slots.  ``min_threads`` must not exceed any pending kernel's
+        threads/WG, so every CU left out has zero capacity for every
+        pending kernel — and resources only shrink within a pump — so
+        it could never be picked, and the least-loaded/first-index
+        picks and the ``issue_wgs`` and ``touched`` orders over this
+        list are those over every CU.  An empty list ends the pump.
+        The scalar pumps pass the min over the pending kernels.  The
+        bucketed pump passes the monotone bound over every kernel ever
+        activated, which needs no pending list and can keep a CU the
+        pending min would not — that only costs capacity solves that
+        come back zero, never a different decision.
+        """
+        return [cu for cu in self.cus
+                if cu.free_wavefronts() > 0
+                and cu.free_threads() >= min_threads]
+
+    def _place(self, kernel: KernelInstance, cus: List[ComputeUnit],
+               caps: List[int], loads: List[int],
+               touched: List[ComputeUnit]) -> int:
         """Issue up to ``kernel.wgs_pending`` WGs of ``kernel``.
 
-        The one WG placement loop every pump shares.  ``caps[i]`` is how
-        many WGs of the kernel CU ``i`` can still admit and ``loads[i]``
-        its resident count; both are decremented/incremented in place as
-        WGs are placed, so a pump carries them across kernels.  Each WG
-        goes to the least-loaded CU with capacity, first CU on a tie —
-        the pick a per-WG loop over ``can_accept`` makes.  The placement
-        is then committed per CU: ``issue_wgs`` in first-pick order (the
-        order a per-WG loop would first sync each CU's progress) and
-        ``touched`` reordered by last pick (the order its surviving timer
-        pushes would happen), so the caller's final ``flush_issue`` pass
-        preserves the event heap's FIFO ties.  Then the issue counter,
-        profiler and trace hooks and ``mark_running``.  Returns the
-        number of WGs issued.
+        The one WG placement loop every pump shares.  ``cus`` is the
+        pump's open CUs (:meth:`_open_cus`).  ``caps[i]`` is how
+        many WGs of the kernel ``cus[i]`` can still admit and
+        ``loads[i]`` its resident count; both are decremented/incremented
+        in place as WGs are placed, so a pump carries them across
+        kernels.  Each WG goes to the least-loaded CU with capacity,
+        first CU on a tie — the pick a per-WG loop over ``can_accept``
+        makes.  The placement is then committed per CU: ``issue_wgs`` in
+        first-pick order (the order a per-WG loop would first sync each
+        CU's progress) and ``touched`` reordered by last pick (the order
+        its surviving timer pushes would happen), so the caller's final
+        ``flush_issue`` pass preserves the event heap's FIFO ties.  Then
+        the issue counter, profiler and trace hooks and
+        ``mark_running``.  Returns the number of WGs issued.
         """
-        cus = self.cus
         num_cus = len(cus)
         want = kernel.wgs_pending
         wg_trace = (self.trace
@@ -413,8 +443,9 @@ class WGDispatcher:
         return (math.isinf(kernel.job.priority)
                 or not self._config.greedy_occupancy)
 
-    def _pump_single(self, kernel: KernelInstance) -> None:
-        """The entire pending set is one kernel.
+    def _pump_single(self, kernel: KernelInstance,
+                     cus: List[ComputeUnit]) -> None:
+        """The entire pending set is one kernel, placed over the open ``cus``.
 
         Ranking one kernel is the identity for every non-filtering
         policy, so the sort, shape memo and blocked-set machinery of
@@ -423,17 +454,17 @@ class WGDispatcher:
         """
         desc = kernel.descriptor
         backfill_only = self._backfill_only(kernel)
-        cus = self.cus
         caps = [cu.batch_capacity(desc, backfill_only) for cu in cus]
         loads = [cu.num_residents for cu in cus]
         touched: List[ComputeUnit] = []
-        if self._place(kernel, caps, loads, touched):
+        if self._place(kernel, cus, caps, loads, touched):
             for cu in touched:
                 cu.flush_issue()
             self._note_served([kernel])
 
-    def _pump_batched(self, pending: Sequence[KernelInstance]) -> None:
-        """Scalar batched issue over the policy's ranking.
+    def _pump_batched(self, pending: Sequence[KernelInstance],
+                      cus: List[ComputeUnit]) -> None:
+        """Scalar batched issue over the policy's ranking and the open ``cus``.
 
         Capacity vectors are memoized per descriptor resource shape
         between admissions (see the ``shape_caps`` comment below), which
@@ -441,7 +472,6 @@ class WGDispatcher:
         with many kernel types over few distinct shapes.
         """
         served: List[KernelInstance] = []
-        cus = self.cus
         # ``batch_capacity`` is a pure function of a descriptor's
         # *resource shape* — threads/WG, VGPR/WG, LDS/WG, and (when
         # backfilling) the concurrency class — against the CU's free
@@ -473,7 +503,7 @@ class WGDispatcher:
                         for cu in cus]
                 shape_caps[shape] = caps
             want = kernel.wgs_pending
-            issued = self._place(kernel, caps, loads, touched)
+            issued = self._place(kernel, cus, caps, loads, touched)
             if issued < want:
                 blocked_shapes.add(shape)
             if issued == 0:
@@ -564,8 +594,8 @@ class WGDispatcher:
             entry[0] = 0
         insort(entries, item)
 
-    def _pump_bucketed(self) -> None:
-        """Bucketed-merge batched issue (base order).
+    def _pump_bucketed(self, cus: List[ComputeUnit]) -> None:
+        """Bucketed-merge batched issue (base order) over the open ``cus``.
 
         Makes :meth:`_pump_batched`'s decisions when the policy ranks with
         the base ``issue_order`` (a pure sort on ``default_issue_key``,
@@ -619,7 +649,6 @@ class WGDispatcher:
         # as the scalar batched pump.
         shape_caps: dict = {}
         touched: List[ComputeUnit] = []
-        cus = self.cus
         loads = [cu.num_residents for cu in cus]
         while heap:
             shape = heappop(heap)[1]
@@ -637,7 +666,7 @@ class WGDispatcher:
                     # the next pump.
                     continue
             want = kernel.wgs_pending
-            issued = self._place(kernel, caps, loads, touched)
+            issued = self._place(kernel, cus, caps, loads, touched)
             if issued == 0:
                 continue
             if len(shape_caps) > 1:
@@ -669,21 +698,3 @@ class WGDispatcher:
             if kernel.wgs_issued >= kernel.descriptor.num_wgs:
                 pend.pop(kernel, None)
         self._policy.on_kernels_served(served)
-
-    def _any_capacity(self, min_threads: int) -> bool:
-        """Cheap saturation check so no-op pumps exit early.
-
-        Whether some CU has a free wavefront slot and ``min_threads``
-        free thread slots.  ``min_threads`` must not exceed any pending
-        kernel's threads/WG, so a False never skips a pump that could
-        issue.  The scalar pumps pass the min over the pending kernels.
-        The bucketed pump passes the monotone bound over every kernel
-        ever activated, which needs no pending list and can pass where
-        the pending min would not — a false pass only costs a merge pass
-        that issues nothing (per-shape capacities are exact), never a
-        different decision.
-        """
-        for cu in self.cus:
-            if cu.free_wavefronts() > 0 and cu.free_threads() >= min_threads:
-                return True
-        return False

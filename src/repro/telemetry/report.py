@@ -480,6 +480,59 @@ def write_validation_summary(directory: str,
     return path
 
 
+def _read_text(directory: str, name: str) -> str:
+    """The text of ``name`` in the bundle ``directory``.
+
+    Every bundle file is read through here, so a file that is missing,
+    cannot be read or is not UTF-8 raises :class:`TelemetryError`
+    naming the file.
+    """
+    try:
+        with open(os.path.join(directory, name),
+                  encoding="utf-8") as source:
+            return source.read()
+    except FileNotFoundError:
+        raise TelemetryError(f"no {name} in the bundle") from None
+    except OSError as exc:
+        raise TelemetryError(f"cannot read {name}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TelemetryError(f"{name} is not UTF-8 text: {exc}") from None
+
+
+def _load_document(directory: str, name: str) -> Dict[str, object]:
+    """The JSON object stored as ``name`` in the bundle ``directory``.
+
+    Raises :class:`TelemetryError` naming the file when it cannot be
+    read (:func:`_read_text`), is not JSON or holds something other
+    than an object.
+    """
+    try:
+        document = json.loads(_read_text(directory, name))
+    except ValueError as exc:
+        raise TelemetryError(f"{name} is not JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise TelemetryError(f"{name} is not a JSON object")
+    return document
+
+
+def load_report(directory: str) -> Dict[str, object]:
+    """The bundle's ``report.json``, checked to be a run report.
+
+    Raises :class:`TelemetryError` naming the file when it is not a JSON
+    object of the report format with its label, summary and
+    post-mortems, the parts :func:`render_markdown` reads
+    unconditionally.  The summary's own fields are not checked.
+    """
+    report = _load_document(directory, "report.json")
+    if report.get("format") != "repro-run-report-v1":
+        raise TelemetryError("report.json has an unknown format")
+    if (not isinstance(report.get("label"), str)
+            or not isinstance(report.get("summary"), dict)
+            or not isinstance(report.get("post_mortems"), list)):
+        raise TelemetryError("report.json is missing required sections")
+    return report
+
+
 def validate_bundle(directory: str) -> Dict[str, object]:
     """Check a written bundle's structural integrity.
 
@@ -491,34 +544,23 @@ def validate_bundle(directory: str) -> Dict[str, object]:
         path = os.path.join(directory, name)
         if not os.path.isfile(path):
             raise TelemetryError(f"bundle missing {name}")
-    with open(os.path.join(directory, "trace.json"),
-              encoding="utf-8") as source:
-        trace_doc = json.load(source)
+    trace_doc = _load_document(directory, "trace.json")
     trace_events = trace_doc.get("traceEvents")
     if not isinstance(trace_events, list) or not trace_events:
         raise TelemetryError("trace.json has no traceEvents")
+    if not all(isinstance(event, dict) for event in trace_events):
+        raise TelemetryError("trace.json has an event that is not an object")
     phases = {event.get("ph") for event in trace_events}
     if "X" not in phases:
         raise TelemetryError("trace.json contains no duration slices")
-    with open(os.path.join(directory, "metrics.json"),
-              encoding="utf-8") as source:
-        metrics_doc = json.load(source)
+    metrics_doc = _load_document(directory, "metrics.json")
     if metrics_doc.get("format") != "repro-telemetry-metrics-v1":
         raise TelemetryError("metrics.json has an unknown format")
     if not metrics_doc.get("registry"):
         raise TelemetryError("metrics.json registry snapshot is empty")
-    with open(os.path.join(directory, "metrics.prom"),
-              encoding="utf-8") as source:
-        prom_text = source.read()
-    if "# TYPE " not in prom_text:
+    if "# TYPE " not in _read_text(directory, "metrics.prom"):
         raise TelemetryError("metrics.prom has no TYPE headers")
-    with open(os.path.join(directory, "report.json"),
-              encoding="utf-8") as source:
-        report = json.load(source)
-    if report.get("format") != "repro-run-report-v1":
-        raise TelemetryError("report.json has an unknown format")
-    if "post_mortems" not in report or "summary" not in report:
-        raise TelemetryError("report.json is missing required sections")
+    report = load_report(directory)
     return {
         "trace_events": len(trace_events),
         "registry_metrics": len(metrics_doc["registry"]),

@@ -60,11 +60,22 @@ MALFORMED_WORKLOADS = {
     "dependencies-list.json": _workload(dependencies=[[0]]),
 }
 
+#: ``report.json`` contents that no bundle reader can use, by bundle
+#: directory name.
+MALFORMED_REPORTS = {
+    "report-not-json": "not json",
+    "report-array": "[1, 2]",
+    "report-empty-object": "{}",
+    "report-no-label": json.dumps({"format": "repro-run-report-v1",
+                                   "summary": {}, "post_mortems": []}),
+}
+
 
 class TestBadInput:
-    """Bad numbers, unreadable or malformed workload files and unusable
-    output locations end the run with exit code 2 and a single line,
-    never a traceback; an output location fails before simulating."""
+    """Bad numbers, unreadable or malformed workload files, malformed
+    bundles under ``report --from-bundle`` and unusable output locations
+    end the run with exit code 2 and a single line, never a traceback;
+    an output location fails before simulating."""
 
     CASES = {
         "jobs-zero-run": ["--jobs", "0"],
@@ -96,6 +107,8 @@ class TestBadInput:
         "trace-under-file": ["--jobs", "4", "--trace", "file/t.jsonl"],
         "save-workload-under-file": ["--jobs", "4",
                                      "--save-workload", "file/w.json"],
+        **{f"from-bundle-{name}": ["report", "--from-bundle", name]
+           for name in MALFORMED_REPORTS},
     }
 
     @pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
@@ -108,6 +121,9 @@ class TestBadInput:
         (tmp_path / "list.json").write_text("[1, 2]")
         for name, document in MALFORMED_WORKLOADS.items():
             (tmp_path / name).write_text(json.dumps(document))
+        for name, text in MALFORMED_REPORTS.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "report.json").write_text(text)
         (tmp_path / "file").write_text("")
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,14 +1,19 @@
 """Integration-grade unit tests for the dispatcher + command processor."""
 
+import collections
 import dataclasses
 
 import pytest
 
 from repro.config import GPUConfig, SimConfig
+from repro.errors import SimulationError
+from repro.schedulers.registry import make_scheduler
 from repro.schedulers.rr import RoundRobinScheduler
 from repro.sim.device import GPUSystem
+from repro.sim.dispatcher import WGDispatcher
 from repro.sim.job import JobState
 from repro.units import MS, US
+from repro.workloads.registry import build_workload
 
 from conftest import make_descriptor, make_job
 
@@ -109,3 +114,71 @@ class TestDiagnostics:
                                                     wg_work=US)])
         system, _ = run_system([job])
         assert system.profiler.total_completed("kx") == 5
+
+
+class TestActiveSet:
+    def test_second_activation_raises(self):
+        job = make_job()
+        system = GPUSystem(RoundRobinScheduler(), SimConfig())
+        kernel = job.kernels[0]
+        system.dispatcher.add_kernel(kernel)
+        with pytest.raises(SimulationError, match="activated twice"):
+            system.dispatcher.add_kernel(kernel)
+        assert system.dispatcher.active_kernels == (kernel,)
+
+    def test_activation_order_survives_removals(self, monkeypatch):
+        """``active_kernels`` lists kernels in activation order while
+        completions, a late-reject cancellation and PREMA preemptions
+        change the set, checked against a list kept here."""
+        mirrors = {}
+        seen = collections.Counter()
+
+        def check(dispatcher):
+            assert list(dispatcher.active_kernels) == mirrors[dispatcher]
+
+        def wrap(name, update):
+            original = getattr(WGDispatcher, name)
+
+            def wrapped(dispatcher, kernel, *args):
+                mirror = mirrors.setdefault(dispatcher, [])
+                active = kernel in mirror
+                result = original(dispatcher, kernel, *args)
+                update(mirror, kernel, active, result)
+                check(dispatcher)
+                return result
+
+            monkeypatch.setattr(WGDispatcher, name, wrapped)
+
+        def activated(mirror, kernel, active, result):
+            mirror.append(kernel)
+            seen["activated"] += 1
+
+        def completed(mirror, kernel, active, result):
+            if kernel.is_done:
+                mirror.remove(kernel)
+                seen["completed"] += 1
+
+        def cancelled(mirror, kernel, active, result):
+            if active:
+                mirror.remove(kernel)
+                seen["cancelled"] += 1
+
+        def preempted(mirror, kernel, active, result):
+            seen["preempted"] += result > 0
+
+        wrap("add_kernel", activated)
+        wrap("_wg_completed", completed)
+        wrap("cancel_kernel", cancelled)
+        wrap("preempt_kernel", preempted)
+        # PREMA preempts on VAN; the hybrid late-rejects a HYBRID job
+        # whose kernel is active.
+        for scheduler, benchmark in (("PREMA", "VAN"),
+                                     ("LAX-PREMA", "HYBRID")):
+            system = GPUSystem(make_scheduler(scheduler), SimConfig())
+            system.submit_workload(build_workload(
+                benchmark, rate_level="high", num_jobs=8, seed=1,
+                gpu=SimConfig().gpu))
+            system.run()
+            check(system.dispatcher)
+        assert seen["completed"] > 0
+        assert seen["cancelled"] > 0 and seen["preempted"] > 0

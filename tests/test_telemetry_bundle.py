@@ -174,6 +174,34 @@ class TestReport:
         with pytest.raises(TelemetryError):
             validate_bundle(str(tmp_path))
 
+    @pytest.mark.parametrize("name, text", [
+        *(pytest.param(name, text, id=f"{name}-{kind}")
+          for name in ("trace.json", "metrics.json", "report.json")
+          for kind, text in (("not-json", "not json"), ("array", "[1, 2]"))),
+        pytest.param("trace.json", '{"traceEvents": [1, {"ph": "X"}]}',
+                     id="trace.json-event-not-an-object"),
+        pytest.param("report.json", json.dumps(
+            {"format": "repro-run-report-v1", "summary": {},
+             "post_mortems": []}), id="report.json-no-label"),
+        pytest.param("metrics.prom", b"# TYPE \xff\n",
+                     id="metrics.prom-not-utf8"),
+    ])
+    def test_validate_rejects_malformed_document(self, tmp_path, name, text):
+        """A bundle document that cannot be decoded, is not JSON, not a
+        JSON object, a report without the parts the renderer reads or
+        (for the trace) lists an event that is not an object raises the
+        documented TelemetryError naming the file."""
+        hub, metrics = telemetry_run()
+        directory = str(tmp_path / "bundle")
+        write_bundle(directory, hub, metrics)
+        path = tmp_path / "bundle" / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(TelemetryError, match=name):
+            validate_bundle(directory)
+
     def test_registry_gains_run_gauges(self, tmp_path):
         hub, metrics = telemetry_run()
         write_bundle(str(tmp_path / "b"), hub, metrics)

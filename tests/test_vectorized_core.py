@@ -217,32 +217,35 @@ class TestBucketedOrder:
 
     def test_fast_out_never_skips_work_that_could_issue(
             self, vectorized_mode, monkeypatch):
-        """The bucketed pump's saturation fast-out checks a monotone
-        threads/WG bound, not the pending kernels: it may pass a pump
-        that then issues nothing, but every pump it fails must have had
-        zero capacity for every pending kernel on every CU."""
+        """The bucketed pump solves capacity on the open CUs only, found
+        with a monotone threads/WG bound rather than the pending
+        kernels: it may keep a CU that then admits nothing, but every CU
+        it leaves out — all of them when none is open and the pump ends
+        at once — must have zero capacity for every pending kernel.  The
+        open list keeps device order."""
         from repro.sim.dispatcher import WGDispatcher
 
-        check = WGDispatcher._any_capacity
-        verdicts = []
+        open_cus = WGDispatcher._open_cus
+        open_counts = []
 
         def checked(dispatcher, min_threads):
             # Above the forced gate every LAX pump is bucketed.
             assert min_threads == dispatcher._min_threads_seen
-            verdict = check(dispatcher, min_threads)
-            verdicts.append(verdict)
-            if not verdict:
-                for kernel in dispatcher._pending_set:
-                    backfill = dispatcher._backfill_only(kernel)
-                    for cu in dispatcher.cus:
-                        assert cu.batch_capacity(kernel.descriptor,
-                                                 backfill) == 0
-            return verdict
+            cus = open_cus(dispatcher, min_threads)
+            assert cus == [cu for cu in dispatcher.cus if cu in cus]
+            left_out = [cu for cu in dispatcher.cus if cu not in cus]
+            for kernel in dispatcher._pending_set:
+                backfill = dispatcher._backfill_only(kernel)
+                for cu in left_out:
+                    assert cu.batch_capacity(kernel.descriptor,
+                                             backfill) == 0
+            open_counts.append(len(cus))
+            return cus
 
-        monkeypatch.setattr(WGDispatcher, "_any_capacity", checked)
+        monkeypatch.setattr(WGDispatcher, "_open_cus", checked)
         *_, system = _traced_fleet_run(vectorized_mode, True)
         assert system.dispatcher.bucketed_pumps > 0
-        assert True in verdicts and False in verdicts
+        assert 0 in open_counts and any(open_counts)
 
     def test_invalidate_order_counts_only_real_drops(self, vectorized_mode,
                                                      monkeypatch):
