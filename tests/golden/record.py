@@ -24,7 +24,13 @@ The matrix:
   list;
 * ``dag-stream/LAX`` -- a stream of fork-join DAG jobs;
 * ``fleet4/laxity/x2`` -- four devices behind the laxity router at twice
-  the sustained rate.
+  the sustained rate;
+* ``telemetry/...`` -- cells run with a telemetry hub attached, which
+  also record what the hub observed: LSTM/LAX, HYBRID/LAX-PREMA and
+  GMM/LAX at 64 jobs, the 160-job fleet cell, and a streamed, retired
+  SUSTAINED run with a ring sink, 2 ms windows and the SLO monitor;
+* ``tracker/LSTM/LAX`` -- LSTM/LAX with a prediction tracker, recording
+  every tracked job's samples.
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ SUSTAINED_POLICIES = ("LAX", "RR", "LAX-PREMA")
 SUSTAINED_VARIANTS = ("stream-retired", "stream", "finite")
 DAG_JOBS = 200
 FLEET4_JOBS = 2000
+TELEMETRY_JOBS = 64
+#: Enough streamed jobs for several 2 ms windows and a ring sink that
+#: evicts decision events.
+SUSTAINED_TELEMETRY_JOBS = 6000
+TELEMETRY_CELLS = (("LSTM", "LAX"), ("HYBRID", "LAX-PREMA"), ("GMM", "LAX"))
 
 
 def _sha(payload) -> str:
@@ -107,6 +118,56 @@ def _traced_run(policy: str, config, submit: Callable, retire: bool,
     fields = _device_fields(system, metrics)
     fields.update(_trace_fields(trace))
     return _finish(fields)
+
+
+def _observed_run(policy, config, submit: Callable, retire: bool,
+                  hub=None, tracker=None,
+                  prepare: Callable = None) -> Dict[str, object]:
+    """One run with a telemetry hub and/or a prediction tracker attached;
+    records the run's facts plus the digests of what they observed."""
+    from repro import GPUSystem, make_scheduler
+    kwargs = {} if tracker is None else {"tracker": tracker}
+    system = GPUSystem(make_scheduler(policy, **kwargs), config,
+                       telemetry=hub, retire=retire)
+    if prepare is not None:
+        prepare(system)
+    submit(system)
+    metrics = system.run()
+    fields = _device_fields(system, metrics)
+    if hub is not None:
+        fields.update(_hub_fields(hub))
+    if tracker is not None:
+        fields.update(_tracker_fields(tracker))
+    return _finish(fields)
+
+
+def _hub_fields(hub) -> Dict[str, object]:
+    """Decision events (exact counts, retained events' bytes), the
+    window series and the SLO monitor's state."""
+    decisions = hub.decisions
+    data = "\n".join(event.as_json_line() for event in decisions.events)
+    fields: Dict[str, object] = {
+        "decision_counts": dict(sorted(decisions.counts().items())),
+        "decisions_retained": len(decisions.events),
+        "decisions_sha256": hashlib.sha256(data.encode()).hexdigest(),
+    }
+    if hub.windows is not None:
+        records = hub.windows.records
+        fields["windows"] = len(records)
+        fields["windows_sha256"] = _sha([r.as_dict() for r in records])
+    if hub.monitor is not None:
+        fields["monitor_sha256"] = _sha(hub.monitor.snapshot())
+    return fields
+
+
+def _tracker_fields(tracker) -> Dict[str, object]:
+    traces = tracker.traces()
+    return {
+        "tracked_jobs": len(traces),
+        "tracker_samples": sum(len(trace.samples) for trace in traces),
+        "tracker_sha256": _sha([dataclasses.astuple(trace)
+                                for trace in traces]),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +269,61 @@ def _fleet4_cell():
     return _finish(fields)
 
 
+def _telemetry_paper_cell(benchmark: str, policy: str):
+    def run():
+        from repro import SimConfig, build_workload
+        from repro.telemetry import TelemetryHub
+        config = SimConfig()
+        jobs = build_workload(benchmark, "high", TELEMETRY_JOBS, seed=1,
+                              gpu=config.gpu)
+        return _observed_run(policy, config,
+                             lambda s: s.submit_workload(jobs), retire=False,
+                             hub=TelemetryHub(self_profile=False))
+    return run
+
+
+def _telemetry_fleet_cell():
+    from repro.core.calibration import warm_table
+    from repro.telemetry import TelemetryHub
+    from repro.workloads import (build_fleet_jobs, fleet_config,
+                                 fleet_warm_rates)
+    config = fleet_config()
+    jobs = build_fleet_jobs(num_jobs=FLEET_JOBS, seed=7, gpu=config.gpu)
+    return _observed_run(
+        "LAX", config, lambda s: s.submit_workload(jobs), retire=False,
+        hub=TelemetryHub(self_profile=False),
+        prepare=lambda s: warm_table(s.profiler,
+                                     fleet_warm_rates(config.gpu)))
+
+
+def _telemetry_sustained_cell():
+    """The layered benchmark's ``sustained_telemetry`` hub: ring sink,
+    2 ms windows and the live SLO monitor on a streamed, retired run."""
+    from repro import SimConfig
+    from repro.telemetry import TelemetryHub
+    from repro.units import MS
+    from repro.workloads.streaming import SUSTAINED_RATES, sustained_source
+    config = SimConfig()
+    source = sustained_source(SUSTAINED_RATES["high"], seed=1,
+                              gpu=config.gpu)
+    return _observed_run(
+        "LAX", config,
+        lambda s: s.submit_stream(source.jobs(),
+                                  max_jobs=SUSTAINED_TELEMETRY_JOBS),
+        retire=True, hub=TelemetryHub(sink="ring:4096", window=2 * MS,
+                                      slo_monitor=True))
+
+
+def _tracker_cell():
+    from repro import SimConfig, build_workload
+    from repro.metrics.tracking import PredictionTracker
+    config = SimConfig()
+    jobs = build_workload("LSTM", "high", TELEMETRY_JOBS, seed=1,
+                          gpu=config.gpu)
+    return _observed_run("LAX", config, lambda s: s.submit_workload(jobs),
+                         retire=False, tracker=PredictionTracker())
+
+
 def cells() -> List[Tuple[str, Callable[[], Dict[str, object]]]]:
     """The corpus matrix as (name, run) pairs, in recording order."""
     from repro import ALL_SCHEDULERS, BENCHMARK_ORDER
@@ -220,6 +336,13 @@ def cells() -> List[Tuple[str, Callable[[], Dict[str, object]]]]:
                for variant in SUSTAINED_VARIANTS]
     matrix.append(("dag-stream/LAX", _dag_cell))
     matrix.append(("fleet4/laxity/x2", _fleet4_cell))
+    matrix += [(f"telemetry/{benchmark}/{policy}",
+                _telemetry_paper_cell(benchmark, policy))
+               for benchmark, policy in TELEMETRY_CELLS]
+    matrix.append(("telemetry/fleet/LAX", _telemetry_fleet_cell))
+    matrix.append(("telemetry/sustained/LAX/stream-retired",
+                   _telemetry_sustained_cell))
+    matrix.append(("tracker/LSTM/LAX", _tracker_cell))
     return matrix
 
 
