@@ -80,27 +80,6 @@ def laxity_time(job: "Job", table: KernelProfilingTable, now: int) -> float:
     return job.deadline - estimate_completion_time(job, table, now)
 
 
-def priority_with_estimates(job: "Job", table: KernelProfilingTable,
-                            now: int) -> tuple:
-    """Algorithm 2's priority plus the estimates it was derived from.
-
-    Returns ``(priority, laxity, remaining)`` from a single WGList walk —
-    the priority is bit-identical to :func:`laxity_priority`, with the
-    Equation 1 inputs exposed for telemetry without re-walking the list.
-    Requires a deadline (callers rank no-deadline jobs last without
-    needing estimates).
-    """
-    remaining = estimate_remaining_time(job, table, now)
-    elapsed = job.elapsed(now)
-    laxity = job.deadline - (elapsed + remaining)
-    if elapsed > job.deadline:
-        return INFINITE_PRIORITY, laxity, remaining
-    completion = remaining + elapsed
-    if job.deadline > completion:
-        return job.deadline - completion, laxity, remaining
-    return completion, laxity, remaining
-
-
 class RemainingTimeCache:
     """Per-job remaining-time estimates with epoch-based invalidation.
 

@@ -10,7 +10,11 @@ The pieces, all device-resident:
   delay plus own estimate would overrun the deadline.
 * Every 100 us, **Algorithm 2** reassigns each live job's priority from
   its laxity (Equation 1): smallest laxity first, predicted-missers behind
-  everyone with positive laxity, past-deadline jobs last.
+  everyone with positive laxity, past-deadline jobs last.  The tick (and
+  Algorithm 1's late-reject sweep before it) is masked array math over
+  the Job Table's rows at every population, with decision telemetry or a
+  prediction tracker attached or not; ``laxity_priority`` and
+  ``steady_state_pass`` stay as the per-job reference implementations.
 * New jobs start at the **highest** priority — the empirically best choice
   per the paper's footnote 2; ``init_priority`` exposes the two
   alternatives the footnote compares for the ablation bench.
@@ -23,7 +27,7 @@ from typing import Optional
 
 import numpy as _np
 
-from ..core.admission import QueuingDelayAdmission, steady_state_pass
+from ..core.admission import QueuingDelayAdmission
 from ..core.job_table import JobTable
 from ..core.laxity import (INFINITE_PRIORITY, RemainingTimeCache,
                            laxity_priority)
@@ -36,13 +40,13 @@ from .base import SchedulerPolicy
 #: Valid ``init_priority`` modes (paper footnote 2).
 INIT_PRIORITY_MODES = ("highest", "lowest", "estimate")
 
-#: Tabled-job count below which the scalar tick and admission sum beat
-#: array math over the Job Table's rows (numpy's fixed per-op cost
-#: dominates tiny arrays) — the rank-level analogue of
-#: ``dispatcher._BUCKETED_MIN_ACTIVE``.  The SUSTAINED streaming cells
-#: retire jobs and hold ~50 live, so they stay on the scalar path; the
-#: 1280-job fleet cell crosses over as soon as its backlog builds.  Both
-#: sides make the same decisions, so the gate is purely a cost model.
+#: Tabled-job count below which admission's ``totRemTime`` is one
+#: flattened loop over the cache (``RemainingTimeCache.outstanding_sum``)
+#: rather than a cumulative sum over the Job Table's rows: numpy's fixed
+#: per-op cost dominates tiny arrays, and admission runs once per
+#: arrival (``docs/performance.md``, "One LAX tick", times both).  The
+#: only population gate left in LAX; the tick has none.  Both sides make
+#: the same decisions, so the gate is purely a cost model.
 _VEC_MIN_JOBS = 64
 
 #: Priority order used by the prediction sampler: precomputed attrgetter
@@ -218,7 +222,7 @@ class LaxityScheduler(SchedulerPolicy):
     def _refresh_rows(self, rows, now: int) -> int:
         """Recompute the given stale rows' estimates through the cache and
         return how many were refreshed.  The cache stays the one source
-        of the values, so a later scalar tick sees them warm."""
+        of the values, so the scalar admission sum sees them warm."""
         table = self.job_table
         jobs = table.jobs
         remaining = table.remaining
@@ -319,217 +323,159 @@ class LaxityScheduler(SchedulerPolicy):
     # ------------------------------------------------------------------
 
     def _update_priorities(self) -> None:
-        try:
-            # The vectorized tick rides on the scalar one (same cache,
-            # same standing order); it bows out whenever per-job side
-            # channels are active — decision logging and the prediction
-            # tracker want the scalar loop's per-job interleaving — and
-            # below the ``_VEC_MIN_JOBS`` population where array setup
-            # costs more than the scalar sweep.
-            if (len(self.job_table) >= _VEC_MIN_JOBS
-                    and self._tracker is None and not self.decisions_enabled):
-                self._update_priorities_vectorized()
-            else:
-                self._update_priorities_gated()
-        finally:
-            # Every variant (and its steady-state sweep) rewrites live
-            # priorities.  The dispatcher's standing issue order is keyed
-            # by them: mark it stale, and its next bucketed pump re-keys
-            # it in place.
-            self.ctx.dispatcher.invalidate_order()
+        """Algorithm 2, after Algorithm 1's late-reject sweep, as masked
+        math over the Job Table's rows: one tick at every population,
+        with or without a decision log or prediction tracker.
 
-    def _update_priorities_gated(self) -> None:
-        """The epoch-gated tick: Algorithm 2 without redundant walks.
+        Makes a walking tick's decisions
+        (:func:`~repro.core.admission.steady_state_pass`, then
+        :func:`laxity_priority` per live job) without its redundant walks;
+        ``docs/performance.md`` has the full argument:
 
-        Computes what a fresh per-tick walk of every job would:
+        * estimates come from the :class:`RemainingTimeCache`, the exact
+          float a fresh walk returns; a row's ``remaining`` mirrors it and
+          is refreshed through the cache exactly when the entry is (or
+          would be) stale;
+        * ``cache.sync(now)`` runs iff some row needs an estimate, where a
+          walking tick first reads the profiling table, so the window
+          rolls at the same times; with decisions on, every deadline
+          row's estimate is read, past-deadline rows included, for the
+          events' laxity;
+        * each elementwise float64 operation is one scalar operation of
+          :func:`laxity_priority`, with no reduction order to perturb;
+          int64 -> float64 conversions are exact below 2**53 ticks;
+        * priorities are written in ``ctx.live_jobs()`` order, which is
+          :meth:`JobTable.rows` order; *init* jobs (bound to a queue,
+          admission pending, not tabled) take :func:`laxity_priority`'s
+          value through the cache at their positions, so events come out
+          in a walking tick's order.  The tracker samples afterwards.
 
-        * remaining-time estimates come from the
-          :class:`~repro.core.laxity.RemainingTimeCache`, which returns
-          exactly the float a fresh WGList walk would (same inputs, same
-          arithmetic) and recomputes when any input's version moved;
-        * the cache is consulted at *exactly* the call sites a walking
-          tick would call ``estimate_remaining_time``, so the profiling
-          window rolls at the same timestamps;
-        * the priority arithmetic below mirrors :func:`laxity_priority` /
-          :func:`priority_with_estimates` operation-for-operation;
-        * the steady-state sweep walks the Job Table's standing
-          ``(start_time, job_id)`` order instead of re-sorting — the same
-          sequence, because the key is frozen per job at bind time and
-          *init* jobs (the only live jobs not tabled) are skipped by the
-          sweep anyway.
-
-        The O(live) arithmetic refresh is *not* skipped on a quiet epoch:
-        laxity shifts with ``now`` and a make-it job crossing into
-        predicted-miss re-ranks with no input changing, so published
-        priority values must track the clock every tick.  What the epoch
-        gates is the expensive part — WGList walks and table reads.
-        """
-        now = self.ctx.now
-        cache = self._remaining_cache
-        stats = self.tick_stats
-        recomputed_before = cache.recomputed
-        reused_before = cache.reused
-        if self._enable_admission:
-            self._steady_state_rejects_gated(now)
-        live = self.ctx.live_jobs()
-        emit = self.decisions_enabled
-        for job in live:
-            deadline = job.deadline
-            if not emit or deadline is None:
-                # laxity_priority, with the walk replaced by the cache.
-                if deadline is None:
-                    job.priority = INFINITE_PRIORITY
-                    continue
-                elapsed = job.elapsed(now)
-                if elapsed > deadline:
-                    job.priority = INFINITE_PRIORITY
-                    continue
-                completion = cache.remaining(job, now) + elapsed
-                job.priority = (deadline - completion
-                                if deadline > completion else completion)
-                continue
-            # priority_with_estimates, with the walk replaced likewise.
-            previous = job.priority
-            remaining = cache.remaining(job, now)
-            elapsed = job.elapsed(now)
-            laxity = deadline - (elapsed + remaining)
-            if elapsed > deadline:
-                priority = INFINITE_PRIORITY
-            else:
-                completion = remaining + elapsed
-                priority = (deadline - completion
-                            if deadline > completion else completion)
-            job.priority = priority
-            if priority != previous:
-                self.emit_decision(
-                    "priority_update", job_id=job.job_id,
-                    priority=priority, previous=previous, laxity=laxity,
-                    remaining_estimate=remaining)
-        if self._tracker is not None:
-            self._record_predictions(live, now)
-        walked = cache.recomputed - recomputed_before
-        stats.ticks += 1
-        stats.walks_recomputed += walked
-        stats.walks_reused += cache.reused - reused_before
-        stats.jobs_ranked += len(live)
-        if walked:
-            stats.ticks_incremental += 1
-        else:
-            stats.ticks_elided += 1
-
-    def _update_priorities_vectorized(self) -> None:
-        """The array tick: Algorithm 2 as masked math over the Job Table.
-
-        Makes :meth:`_update_priorities_gated`'s decisions by
-        construction (the full argument lives in ``docs/performance.md``):
-
-        * estimates still come from the :class:`RemainingTimeCache` —
-          the table's ``remaining`` row only *mirrors* its floats,
-          refreshed through :meth:`RemainingTimeCache.remaining` for
-          exactly the rows whose dict entry is (or would be) stale, so
-          every consumed value is the cached float the scalar tick would
-          read;
-        * the elementwise priority arithmetic (``rem + elapsed``,
-          ``deadline - completion``, the ``deadline > completion``
-          select) maps one IEEE-754 float64 operation onto each scalar
-          operation of the gated loop — elementwise ops have no
-          reduction order to perturb;
-        * ``cache.sync(now)`` runs up front iff at least one job needs
-          an estimate this tick — the same timestamps at which the
-          gated tick's first ``remaining()`` call would roll the
-          profiling window;
-        * *init* jobs (bound to a queue, admission pending) are not
-          tabled; they take the scalar per-job branch below, verbatim
-          from the gated loop.
-
-        Exact float64 equality between the numpy and scalar arithmetic
-        additionally assumes tick counts stay below 2**53 (about 104
-        days of simulated nanoseconds) so int64 -> float64 conversions
-        are lossless; the invariant checker's clock never gets close.
+        The O(live) refresh runs every tick, because laxity drifts with
+        ``now``; the epoch gates only the walks and table reads.
         """
         now = self.ctx.now
         cache = self._remaining_cache
         table = self.job_table
         stats = self.tick_stats
+        emit = self.decisions_enabled
         recomputed_before = cache.recomputed
         reused_before = cache.reused
         if self._enable_admission:
-            self._steady_state_rejects_vectorized(now)
+            self._steady_state_rejects(now, emit)
         rows = table.rows()
-        ranked = int(rows.size)
-        refreshed = 0
-        eligible_count = 0
-        if ranked:
+        values, estimates = [], []
+        estimated = refreshed = 0
+        if rows.size:
             deadline = table.deadline[rows]
             elapsed = _np.maximum(now - table.arrival[rows], 0)
             # NaN deadlines (latency-insensitive) compare False here and
-            # fall into the INFINITE_PRIORITY fill below, like the
-            # ``deadline is None`` / ``elapsed > deadline`` branches.
+            # fall into the INFINITE_PRIORITY fill below, like
+            # laxity_priority's ``deadline is None`` branch.
             eligible = elapsed <= deadline
-            eligible_count = int(_np.count_nonzero(eligible))
-            if eligible_count:
+            need = ~_np.isnan(deadline) if emit else eligible
+            estimated = int(_np.count_nonzero(need))
+            if estimated:
                 cache.sync(now)
                 # Read staleness only after the sync: its invalidation
                 # callback may have marked additional rows stale.
-                stale = table.stale[rows] & eligible
+                stale = table.stale[rows] & need
                 if stale.any():
                     refreshed = self._refresh_rows(rows[stale], now)
-                rem = table.remaining[rows]
-                completion = rem + elapsed
-                priority = _np.where(deadline > completion,
-                                     deadline - completion, completion)
-                priority[~eligible] = INFINITE_PRIORITY
-            else:
-                priority = _np.full(ranked, INFINITE_PRIORITY)
-            jobs = table.jobs
-            for row, value in zip(rows.tolist(), priority.tolist()):
-                jobs[row].priority = value
-        # Untabled live jobs: *init* jobs whose admission decision is
-        # still in flight.  Scalar branch, verbatim from the gated
-        # tick (they are few and short-lived).
-        extras = 0
-        if self.ctx.pool.num_bound != ranked:
-            for job in self.ctx.live_jobs():
-                if job in table:
-                    continue
-                extras += 1
-                deadline = job.deadline
-                if deadline is None:
-                    job.priority = INFINITE_PRIORITY
-                    continue
-                elapsed = job.elapsed(now)
-                if elapsed > deadline:
-                    job.priority = INFINITE_PRIORITY
-                    continue
-                completion = cache.remaining(job, now) + elapsed
-                job.priority = (deadline - completion
-                                if deadline > completion else completion)
+            rem = table.remaining[rows]
+            completion = rem + elapsed
+            priority = _np.where(deadline > completion,
+                                 deadline - completion, completion)
+            priority[~eligible] = INFINITE_PRIORITY
+            values = priority.tolist()
+            if emit:
+                estimates = rem.tolist()
+        jobs = table.jobs
+        if self.ctx.pool.num_bound == len(values):
+            # Every live job is tabled: the rows are the live set, in
+            # queue-id order (cheaper than rebuilding the pool's list).
+            live = list(map(jobs.__getitem__, rows.tolist()))
+        else:
+            # Untabled live jobs are *init* jobs, bound to a queue with
+            # their admission decision in flight: insert laxity_priority's
+            # value through the cache at their queue-id positions.
+            live = self.ctx.live_jobs()
+            for position, job in enumerate(live):
+                if jobs[job.queue_id] is not job:
+                    value, remaining = self._init_job_priority(job, now,
+                                                               emit)
+                    values.insert(position, value)
+                    if emit:
+                        estimates.insert(position, remaining)
+        if emit:
+            self._emit_priority_updates(live, values, estimates, now)
+        for job, value in zip(live, values):
+            job.priority = value
+        if self._tracker is not None:
+            self._record_predictions(live, now)
+        # The standing issue order is keyed by the priorities just
+        # rewritten: mark it stale, and its next bucketed pump re-keys it
+        # in place.
+        self.ctx.dispatcher.invalidate_order()
         walked = cache.recomputed - recomputed_before
         stats.ticks += 1
         stats.walks_recomputed += walked
         # Rows consumed without touching the dict cache are reuses too:
         # the mirror held the exact cached float.
         stats.walks_reused += (cache.reused - reused_before
-                               + max(0, eligible_count - refreshed))
-        stats.jobs_ranked += ranked + extras
+                               + estimated - refreshed)
+        stats.jobs_ranked += len(live)
         if walked:
             stats.ticks_incremental += 1
         else:
             stats.ticks_elided += 1
 
-    def _steady_state_rejects_vectorized(self, now: int) -> None:
-        """:func:`steady_state_pass` over the Job Table's rows.
+    def _emit_priority_updates(self, live, priorities, estimates,
+                               now: int) -> None:
+        """One ``priority_update`` per deadline job whose priority is
+        about to change, in queue-id order, with its Equation 1 laxity
+        and the estimate behind it."""
+        for job, priority, remaining in zip(live, priorities, estimates):
+            previous = job.priority
+            if priority != previous and job.deadline is not None:
+                self.emit_decision(
+                    "priority_update", job_id=job.job_id, priority=priority,
+                    previous=previous,
+                    laxity=job.deadline - (job.elapsed(now) + remaining),
+                    remaining_estimate=remaining)
+
+    def _init_job_priority(self, job: Job, now: int, emit: bool) -> tuple:
+        """:func:`laxity_priority` for an untabled *init* job, with the
+        walk replaced by the cache; returns ``(priority, remaining)``.
+        With decisions on, a past-deadline job's estimate is read too."""
+        deadline = job.deadline
+        elapsed = job.elapsed(now)
+        if deadline is None or (elapsed > deadline and not emit):
+            return INFINITE_PRIORITY, None
+        remaining = self._remaining_cache.remaining(job, now)
+        if elapsed > deadline:
+            return INFINITE_PRIORITY, remaining
+        completion = remaining + elapsed
+        return (deadline - completion if deadline > completion
+                else completion), remaining
+
+    def _steady_state_rejects(self, now: int, emit: bool) -> None:
+        """Algorithm 1's continuous sweep over the Job Table's rows
+        (:func:`~repro.core.admission.steady_state_pass`'s decisions):
+        evict jobs that can no longer make their deadlines so their work
+        stops wasting the device.
 
         Walks the same standing ``(start_time, job_id)`` order with the
         same sequential ``totRemTime`` prefix — ``np.add.accumulate`` is
         a left-to-right sum, and skipped jobs contribute exact 0.0 terms
         (``x + 0.0 == x`` for the non-negative estimates involved), so
-        every candidate sees bit-for-bit the scalar pass's prefix.  Rejects are
-        discovered first-to-last: each discovery removes that job's
-        contribution and rescans only positions after it, mirroring the
-        scalar pass where a rejected job never enters the prefix.  The
-        whole pass decides before any ``cancel_job`` runs, exactly like
-        the scalar sweep (``steady_state_pass`` returns a list).
+        every candidate sees bit-for-bit the scalar pass's prefix.
+        Rejects are discovered first-to-last: each discovery removes that
+        job's contribution and rescans only positions after it, mirroring
+        the scalar pass where a rejected job never enters the prefix.
+        The whole pass decides before any ``cancel_job`` runs, exactly
+        like the scalar pass (which returns a list); with decisions on,
+        each ``late_reject`` is emitted just before its cancellation, its
+        ``tot_rem_time`` read from the cache at that moment.
         """
         table = self.job_table
         order = table.order()
@@ -573,6 +519,14 @@ class LaxityScheduler(SchedulerPolicy):
         cp = self.ctx.cp
         for job in rejects:
             self._admission.late_rejected += 1
+            if emit:
+                dur = job.elapsed(now)
+                self.emit_decision(
+                    "late_reject", job_id=job.job_id,
+                    reason=("past_deadline" if dur > job.deadline
+                            else "queuing_delay"),
+                    elapsed=dur, deadline=job.deadline,
+                    tot_rem_time=self._remaining_cache.remaining(job, now))
             cp.cancel_job(job)
 
     def _record_predictions(self, live, now: int) -> None:
@@ -593,26 +547,3 @@ class LaxityScheduler(SchedulerPolicy):
             if self._tracker.tracks(job):
                 predicted = job.elapsed(now) + prefix
                 self._tracker.record(job, now, predicted, job.priority)
-
-    def _steady_state_rejects_gated(self, now: int) -> None:
-        """Algorithm 1's continuous sweep: evict jobs that can no longer
-        make their deadlines so their work stops wasting the device.
-
-        Walks the Job Table's standing ``(start_time, job_id)`` order —
-        the live jobs minus *init* ones, which the sweep skips anyway —
-        with estimates from the rank-epoch cache."""
-        ordered = self.job_table.jobs_by_start()
-        estimate = self._cached_estimate
-        profiler = self.ctx.profiler
-        for job in steady_state_pass(ordered, profiler, now,
-                                     estimate=estimate):
-            self._admission.late_rejected += 1
-            if self.decisions_enabled:
-                elapsed = job.elapsed(now)
-                reason = ("past_deadline" if elapsed > job.deadline
-                          else "queuing_delay")
-                self.emit_decision(
-                    "late_reject", job_id=job.job_id, reason=reason,
-                    elapsed=elapsed, deadline=job.deadline,
-                    tot_rem_time=estimate(job, profiler, now))
-            self.ctx.cp.cancel_job(job)

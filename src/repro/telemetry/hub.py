@@ -59,8 +59,6 @@ class TelemetryHub:
                  registry: Optional[MetricsRegistry] = None,
                  sink: str = "list", sink_dir: Optional[str] = None,
                  window: Optional[int] = None,
-                 window_estimator: str = "reservoir",
-                 rolling: int = 1,
                  slo_monitor: bool = False, slo_stream=None,
                  label: str = "run") -> None:
         #: Registry shared with the run's MetricsCollector.
@@ -90,9 +88,7 @@ class TelemetryHub:
             SimProfiler(sink=profile_sink) if self_profile else None)
         #: Windowed steady-state metrics; None without ``window=``.
         self.windows: Optional[WindowedMetrics] = (
-            WindowedMetrics(window, estimator=window_estimator,
-                            rolling=rolling)
-            if window is not None else None)
+            WindowedMetrics(window) if window is not None else None)
         if slo_monitor and self.windows is None:
             raise TelemetryError(
                 "slo_monitor needs windowed metrics; pass window=TICKS")

@@ -516,20 +516,23 @@ def _load_document(directory: str, name: str) -> Dict[str, object]:
 
 
 def load_report(directory: str) -> Dict[str, object]:
-    """The bundle's ``report.json``, checked to be a run report.
+    """The bundle's ``report.json``, checked to be a run report that
+    :func:`render_markdown` can render.
 
     Raises :class:`TelemetryError` naming the file when it is not a JSON
-    object of the report format with its label, summary and
-    post-mortems, the parts :func:`render_markdown` reads
-    unconditionally.  The summary's own fields are not checked.
+    object of the report format, or when rendering it fails: a missing
+    section or field, a formatted field that is not a number, a
+    post-mortem that is not an object.
     """
     report = _load_document(directory, "report.json")
     if report.get("format") != "repro-run-report-v1":
         raise TelemetryError("report.json has an unknown format")
-    if (not isinstance(report.get("label"), str)
-            or not isinstance(report.get("summary"), dict)
-            or not isinstance(report.get("post_mortems"), list)):
-        raise TelemetryError("report.json is missing required sections")
+    try:
+        render_markdown(report)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TelemetryError(
+            f"report.json cannot be rendered: {type(exc).__name__}: {exc}"
+        ) from None
     return report
 
 
@@ -564,5 +567,5 @@ def validate_bundle(directory: str) -> Dict[str, object]:
     return {
         "trace_events": len(trace_events),
         "registry_metrics": len(metrics_doc["registry"]),
-        "post_mortems": len(report["post_mortems"]),
+        "post_mortems": len(report.get("post_mortems") or ()),
     }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from typing import List, Optional, Sequence
 
@@ -107,3 +108,20 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     ``~/.cache/repro`` of whoever runs the suite.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+#: Every summary field ``render_markdown`` reads.
+REPORT_SUMMARY = {"jobs_arrived": 4, "jobs_meeting_deadline": 3,
+                  "jobs_rejected": 1, "deadline_ratio": 0.75,
+                  "p99_latency_ms": 0.5, "makespan_ms": 2.0,
+                  "wasted_wg_fraction": 0.1,
+                  "energy_per_successful_job_mj": None}
+
+
+def report_document(summary=None, post_mortems=()):
+    """A ``repro-run-report-v1`` document the renderer can read unless
+    its summary or post-mortems are overridden."""
+    return json.dumps({"format": "repro-run-report-v1", "label": "x",
+                       "summary": REPORT_SUMMARY if summary is None
+                       else summary,
+                       "post_mortems": list(post_mortems)})

@@ -7,6 +7,8 @@ import pytest
 from repro.cli import main
 from repro.telemetry import validate_bundle
 
+from conftest import REPORT_SUMMARY, report_document
+
 
 class TestCli:
     def test_list_mode(self, capsys):
@@ -68,6 +70,10 @@ MALFORMED_REPORTS = {
     "report-empty-object": "{}",
     "report-no-label": json.dumps({"format": "repro-run-report-v1",
                                    "summary": {}, "post_mortems": []}),
+    "report-summary-missing-field": report_document(summary={}),
+    "report-field-not-a-number": report_document(
+        summary={**REPORT_SUMMARY, "deadline_ratio": "x"}),
+    "report-post-mortem-not-an-object": report_document(post_mortems=[1]),
 }
 
 
@@ -140,6 +146,12 @@ class TestTelemetryModes:
         assert code == 0
         assert validate_bundle(out)["trace_events"] > 0
         assert "telemetry bundle" in capsys.readouterr().out
+
+    def test_report_from_minimal_bundle(self, tmp_path, capsys):
+        """The report the malformed ones are made from renders."""
+        (tmp_path / "report.json").write_text(report_document())
+        assert main(["report", "--from-bundle", str(tmp_path)]) == 0
+        assert "# Run report — x" in capsys.readouterr().out
 
     def test_report_command_prints_markdown(self, capsys):
         code = main(["report", "--benchmark", "LSTM", "--scheduler", "LAX",

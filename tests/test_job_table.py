@@ -206,10 +206,9 @@ class TestSweepOrder:
             assert table.rows().tolist() == sorted(j.queue_id for j in tabled)
 
     def test_lax_sweeps_match_job_table(self, monkeypatch):
-        """With the tick gate forced open, every vectorized steady-state
-        sweep of a fleet cell (admissions, completions and late rejects
-        in flight) walks the Job Table's enqueue order."""
-        monkeypatch.setattr("repro.schedulers.lax._VEC_MIN_JOBS", 1)
+        """Every steady-state sweep of a fleet cell (admissions,
+        completions and late rejects in flight) walks the Job Table's
+        enqueue order; the sweep has no population gate."""
         checked = []
         order = JobTable.order
 

@@ -12,19 +12,32 @@ Families here:
   / ``unpublished`` / ``changed_kernels_since`` semantics.
 * **Fleet mini-cell** — a scaled-down large-fleet cell is concurrent and
   reports sane tick accounting.
+* **Every tick against the reference** — each tick's late rejects and
+  published priorities equal the walking reference implementations
+  (``steady_state_pass`` and ``laxity_priority``), with and without a
+  telemetry hub, on cells below and above 64 tabled jobs and on a
+  streamed cell with *init* jobs between tabled ones.
 """
 
 import dataclasses
 
+import pytest
+
 from repro.config import SimConfig
+from repro.core.admission import steady_state_pass
 from repro.core.calibration import warm_table
-from repro.core.laxity import RemainingTimeCache, estimate_remaining_time
+from repro.core.laxity import (RemainingTimeCache, estimate_remaining_time,
+                               laxity_priority)
 from repro.core.profiling import KernelProfilingTable
+from repro.schedulers.lax import LaxityScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.sim.device import GPUSystem
+from repro.telemetry import TelemetryHub
 from repro.units import US
 from repro.workloads.fleet import (build_fleet_jobs, fleet_config,
                                    fleet_warm_rates, peak_concurrent_jobs)
+from repro.workloads.registry import build_workload
+from repro.workloads.streaming import SUSTAINED_RATES, sustained_source
 
 from conftest import make_descriptor, make_job
 
@@ -213,3 +226,114 @@ class TestFleetMiniCell:
                     outcome(300, None)]
         # Handoff at t=100 is not overlap; the None-completion job is out.
         assert peak_concurrent_jobs(outcomes) == 2
+
+
+def _paper_cell(benchmark, policy, **policy_kwargs):
+    def build():
+        config = SimConfig()
+        jobs = build_workload(benchmark, "high", 96, seed=2, gpu=config.gpu)
+        return (make_scheduler(policy, **policy_kwargs), config,
+                lambda system: system.submit_workload(jobs), None)
+    return build
+
+
+def _fleet_cell():
+    config = fleet_config()
+    jobs = build_fleet_jobs(num_jobs=160, seed=7, gpu=config.gpu)
+    return (make_scheduler("LAX"), config,
+            lambda system: system.submit_workload(jobs),
+            fleet_warm_rates(config.gpu))
+
+
+def _sustained_cell():
+    config = SimConfig()
+    source = sustained_source(SUSTAINED_RATES["high"], seed=1,
+                              gpu=config.gpu)
+    return (make_scheduler("LAX"), config,
+            lambda system: system.submit_stream(source.jobs(),
+                                                max_jobs=2000), None)
+
+
+#: name -> (build, late rejects the cell makes).  The fleet cell holds
+#: more than 64 tabled jobs at its peak, as does LSTM without admission;
+#: the streamed SUSTAINED cell reuses queues, so *init* jobs sit between
+#: tabled ones in queue-id order.
+REFERENCE_CELLS = {
+    "GMM/LAX": (_paper_cell("GMM", "LAX"), 29),
+    "CUCKOO/LAX": (_paper_cell("CUCKOO", "LAX"), 15),
+    "HYBRID/LAX-PREMA": (_paper_cell("HYBRID", "LAX-PREMA"), 0),
+    "LSTM/LAX-no-admission": (
+        _paper_cell("LSTM", "LAX", enable_admission=False), 0),
+    "FLEET/LAX": (_fleet_cell, 2),
+    "SUSTAINED/LAX-stream": (_sustained_cell, 4),
+}
+
+
+def _run_cell(build, hub=None):
+    policy, config, submit, warm_rates = build()
+    system = GPUSystem(policy, config, telemetry=hub)
+    if warm_rates is not None:
+        warm_table(system.profiler, warm_rates)
+    submit(system)
+    metrics = system.run()
+    return ([dataclasses.astuple(o) for o in metrics.outcomes],
+            system.sim.events_committed, system.sim.now)
+
+
+def _check_every_tick(monkeypatch):
+    """Wrap the LAX tick with the reference checks; returns the counts
+    of what the checked ticks saw."""
+    original = LaxityScheduler._update_priorities
+    seen = {"ticks": 0, "late_rejects": 0, "max_tabled": 0}
+
+    def checked(policy):
+        ctx = policy.ctx
+        now = ctx.now
+        profiler = ctx.profiler
+        seen["max_tabled"] = max(seen["max_tabled"], len(policy.job_table))
+        expected = (steady_state_pass(policy.job_table.jobs_by_start(),
+                                      profiler, now)
+                    if policy._enable_admission else [])
+        before = list(ctx.live_jobs())
+        original(policy)
+        live = ctx.live_jobs()
+        staying = {id(job) for job in live}
+        left = {job.job_id for job in before if id(job) not in staying}
+        assert left == {job.job_id for job in expected}, now
+        for job in live:
+            assert job.priority == laxity_priority(job, profiler, now), \
+                (now, job.job_id)
+        seen["ticks"] += 1
+        seen["late_rejects"] += len(expected)
+
+    monkeypatch.setattr(LaxityScheduler, "_update_priorities", checked)
+    return seen
+
+
+class TestTickAgainstReference:
+    """Every LAX tick makes the walking reference's decisions: the jobs
+    that leave the live set are exactly ``steady_state_pass``'s rejects
+    over the Job Table's enqueue order, and every live job's priority is
+    ``laxity_priority``'s.  Both references walk WGLists at the tick's
+    own timestamp and read a rate only when the tick reads one too, so
+    the profiling window rolls at the same times and checking moves no
+    decision: the checked run, with or without a hub, ends as an
+    unobserved run."""
+
+    @pytest.mark.parametrize("observed", (False, True),
+                             ids=("no-hub", "hub"))
+    @pytest.mark.parametrize("name", list(REFERENCE_CELLS))
+    def test_tick_matches_reference(self, name, observed, monkeypatch):
+        build, late_rejects = REFERENCE_CELLS[name]
+        unobserved = _run_cell(build)
+        seen = _check_every_tick(monkeypatch)
+        hub = TelemetryHub(self_profile=False) if observed else None
+        assert _run_cell(build, hub) == unobserved
+        assert seen["ticks"] > 0
+        assert seen["late_rejects"] == late_rejects
+        if name in ("FLEET/LAX", "LSTM/LAX-no-admission"):
+            assert seen["max_tabled"] > 64
+        if hub is not None:
+            counts = hub.decisions.counts()
+            assert counts.get("late_reject", 0) == late_rejects
+            assert counts["priority_update"] > 0

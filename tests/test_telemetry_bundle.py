@@ -17,7 +17,8 @@ from repro.telemetry import (PID_CUS, PID_JOBS, SimProfiler, TelemetryHub,
                              write_chrome_trace)
 from repro.units import MS, US
 
-from conftest import make_descriptor, make_job
+from conftest import (REPORT_SUMMARY, make_descriptor, make_job,
+                      report_document)
 
 
 def telemetry_run(scheduler="LAX", jobs=None, wg_events=True):
@@ -170,6 +171,14 @@ class TestReport:
         validate_bundle(directory)
         gc.collect()
 
+    def test_validate_accepts_minimal_report(self, tmp_path):
+        """The report the malformed ones are made from validates."""
+        hub, metrics = telemetry_run()
+        directory = str(tmp_path / "bundle")
+        write_bundle(directory, hub, metrics)
+        (tmp_path / "bundle" / "report.json").write_text(report_document())
+        assert validate_bundle(directory)["post_mortems"] == 0
+
     def test_validate_rejects_incomplete_bundle(self, tmp_path):
         with pytest.raises(TelemetryError):
             validate_bundle(str(tmp_path))
@@ -183,14 +192,23 @@ class TestReport:
         pytest.param("report.json", json.dumps(
             {"format": "repro-run-report-v1", "summary": {},
              "post_mortems": []}), id="report.json-no-label"),
+        pytest.param("report.json", report_document(summary={}),
+                     id="report.json-summary-missing-field"),
+        pytest.param("report.json", report_document(
+            summary={**REPORT_SUMMARY, "deadline_ratio": "x"}),
+            id="report.json-field-not-a-number"),
+        pytest.param("report.json", report_document(post_mortems=[1]),
+                     id="report.json-post-mortem-not-an-object"),
         pytest.param("metrics.prom", b"# TYPE \xff\n",
                      id="metrics.prom-not-utf8"),
     ])
     def test_validate_rejects_malformed_document(self, tmp_path, name, text):
         """A bundle document that cannot be decoded, is not JSON, not a
-        JSON object, a report without the parts the renderer reads or
-        (for the trace) lists an event that is not an object raises the
-        documented TelemetryError naming the file."""
+        JSON object, a report the renderer cannot read (a missing part
+        or field, a formatted field that is not a number, a post-mortem
+        that is not an object) or (for the trace) lists an event that is
+        not an object raises the documented TelemetryError naming the
+        file."""
         hub, metrics = telemetry_run()
         directory = str(tmp_path / "bundle")
         write_bundle(directory, hub, metrics)

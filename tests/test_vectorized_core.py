@@ -1,9 +1,9 @@
 """The gated sides of the population gates against the scalar sides.
 
-Both sides of ``lax._VEC_MIN_JOBS`` (the tick and admission sum as
-array math over the Job Table's rows) and ``dispatcher._BUCKETED_MIN_ACTIVE`` (the bucketed
-pump's standing issue order) ship, and they must make the same
-decisions.  The mini cells here sit on whichever side the gates put
+Both sides of ``lax._VEC_MIN_JOBS`` (the admission sum as array math
+over the Job Table's rows; the LAX tick is array math at every
+population) and ``dispatcher._BUCKETED_MIN_ACTIVE`` (the bucketed pump's
+standing issue order) ship, and they must make the same decisions.  The mini cells here sit on whichever side the gates put
 them, so each test forces the gated side by setting both gates to 1 and
 the scalar side by raising them out of reach, then compares:
 
